@@ -20,7 +20,7 @@ import numpy as np
 
 from . import neural
 from .envsim import STATE_DIM, AgentState, LpEnv
-from .errors import BufferTooSmall, ShapeError
+from .errors import BufferTooSmall
 from .neural import Mlp
 
 Q_NET_DIMS = (STATE_DIM, 128, 64, 2)
@@ -231,14 +231,3 @@ def train(env: LpEnv, config: TrainConfig):
             )
         )
     return agent, log_rows
-
-
-def greedy_policy(net: Mlp):
-    """Frozen-network policy: argmax Q, ties to hold."""
-    if tuple(net.layer_dims) != Q_NET_DIMS:
-        raise ShapeError(f"expected layer dims {Q_NET_DIMS}, got {net.layer_dims}")
-
-    def policy(state) -> int:
-        return int(np.argmax(neural.forward(net, _vec(state))))
-
-    return policy

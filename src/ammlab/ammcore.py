@@ -66,11 +66,16 @@ class Position:
         self.upper = self.center * (1.0 + self.width)
 
 
-def open_position(center: float, cfg: PoolConfig, capital: float = 10_000.0) -> Position:
-    """Open a fresh position at `center`; counts as rebalance #1, gas only."""
-    pos = Position(center=center, width=cfg.width, capital=capital)
+def open_position(
+    center: float, cfg: PoolConfig, capital: float = 10_000.0, width: float | None = None
+) -> Position:
+    """Open a fresh position at `center`; counts as rebalance #1, gas only.
+
+    `width` defaults to the pool's configured half-width.
+    """
+    pos = Position(center=center, width=cfg.width if width is None else width, capital=capital)
     pos.rebalance_count = 1
-    pos.accrued_gas = cfg.gas_cost
+    pos.accrued_gas = accrued_gas(cfg, capital, 1)
     return pos
 
 
@@ -116,6 +121,24 @@ def recenter(pos: Position, s: float, cfg: PoolConfig) -> Position:
     pos.accrued_gas += rebalance_cost(cfg, pos.capital)
     pos.rebalance_count += 1
     return pos
+
+
+def accrued_gas(cfg: PoolConfig, capital: float, rebalances: int) -> float:
+    """Total rebalance cost of a position after `rebalances` rebalances.
+
+    The opening counts as the first rebalance and pays gas only; every
+    later one pays the full rebalance_cost. The charges are added in the
+    order a position accrues them, so the result equals that position's
+    accrued_gas bit for bit. Since no strategy decides on gas, one run's
+    rebalance count prices that run at any gas level.
+    """
+    if rebalances < 1:
+        raise ValueError("rebalances must be >= 1 (opening counts as the first)")
+    gas = cfg.gas_cost
+    cost = rebalance_cost(cfg, capital)
+    for _ in range(rebalances - 1):
+        gas += cost
+    return gas
 
 
 def net_roi(pos: Position) -> float:

@@ -73,9 +73,7 @@ def run(
 
     s0 = float(series.close[0])
     center0, width0 = strategy.initial_range(s0, cfg.width)
-    pos = ammcore.Position(center=center0, width=width0, capital=capital)
-    pos.rebalance_count = 1
-    pos.accrued_gas = cfg.gas_cost
+    pos = ammcore.open_position(center0, cfg, capital, width=width0)
 
     trace = []
     for i in range(len(series)):
@@ -147,6 +145,11 @@ def gas_sweep(
     interpolation between bracketing levels; ROI is affine in gas for
     gas-blind strategies, so extrapolation from the last segment is used
     when no bracket exists).
+
+    Each strategy is backtested once: no strategy decides on gas, so
+    fees and the rebalance count are the same at every level, and each
+    level's gas is re-accrued from that count exactly as a run at that
+    level would accrue it.
     """
     if any(g <= 0 for g in gas_levels):
         raise ValueError("gas levels must be positive")
@@ -157,10 +160,12 @@ def gas_sweep(
     rows = []
     curves: dict[str, list[tuple[float, float]]] = {}
     for name, factory in strategy_factories:
+        report, _ = run(factory(), series, cfg, capital, features)
         for g in gas_levels:
-            report, _ = run(factory(), series, replace(cfg, gas_cost=g), capital, features)
-            rows.append((g, name, report.net_roi))
-            curves.setdefault(name, []).append((g, report.net_roi))
+            gas = ammcore.accrued_gas(replace(cfg, gas_cost=g), capital, report.rebalance_count)
+            roi = (report.total_fees - gas) / capital
+            rows.append((g, name, roi))
+            curves.setdefault(name, []).append((g, roi))
 
     break_evens = {name: _break_even(curve) for name, curve in curves.items()}
     return rows, break_evens

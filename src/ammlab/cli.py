@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,16 +22,6 @@ from . import agent as agent_mod
 from . import backtest as backtest_mod
 from . import config as config_mod
 from . import envsim, marketdata, neural, qvi, regime, strategies, synthpath
-
-THREADS_ENV = "RAMMSTEIN_THREADS"
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -198,28 +187,9 @@ def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
         return spec["name"], lambda: strategies.make_strategy(spec["name"], params)
 
     factories = [make_factory(s) for s in specs]
-    pool = config_mod.pool_config(doc)
-    cap = config_mod.capital(doc)
-    features = envsim.FeatureTrack(series)
-
-    n_workers = worker_count()
-    if n_workers > 1:
-        # independent cells; RAMMSTEIN_THREADS caps the pool size
-        def cell(item):
-            (name, factory), g = item
-            cfg = dataclasses.replace(pool, gas_cost=g)
-            rep, _ = backtest_mod.run(factory(), series, cfg, cap, features)
-            return g, name, rep.net_roi
-
-        jobs = [((name, f), g) for name, f in factories for g in sorted(levels)]
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            rows = list(ex.map(cell, jobs))
-        curves = {}
-        for g, name, roi in rows:
-            curves.setdefault(name, []).append((g, roi))
-        break_evens = {name: backtest_mod._break_even(sorted(c)) for name, c in curves.items()}
-    else:
-        rows, break_evens = backtest_mod.gas_sweep(factories, series, levels, pool, cap, features)
+    rows, break_evens = backtest_mod.gas_sweep(
+        factories, series, levels, config_mod.pool_config(doc), config_mod.capital(doc)
+    )
 
     sweep_path = os.path.join(out_dir, "gas_sweep.csv")
     backtest_mod.write_gas_sweep_csv(sweep_path, rows)

@@ -22,6 +22,7 @@ _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _POSINT = {"type": "integer", "exclusiveMinimum": 0}
+_STRATEGY_NAME = {"enum": ["merlin", "bedivere", "lancelot", "galahad", "rammstein"]}
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -113,7 +114,7 @@ SCHEMA = {
             "additionalProperties": False,
             "required": ["name"],
             "properties": {
-                "name": {"enum": ["merlin", "bedivere", "lancelot", "galahad", "rammstein"]},
+                "name": _STRATEGY_NAME,
                 "params": {"type": "object"},
             },
         },
@@ -133,7 +134,7 @@ SCHEMA = {
                         "type": "object",
                         "additionalProperties": False,
                         "required": ["name"],
-                        "properties": {"name": {"type": "string"}, "params": {"type": "object"}},
+                        "properties": {"name": _STRATEGY_NAME, "params": {"type": "object"}},
                     },
                 },
                 "gas_levels": {"type": "array", "minItems": 2, "items": _POS},

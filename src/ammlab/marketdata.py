@@ -63,9 +63,6 @@ class BarSeries:
             volume=float(self.volume[i]),
         )
 
-    def bars(self) -> list[Bar]:
-        return [self.bar(i) for i in range(len(self))]
-
     def slice(self, start: int, stop: int) -> "BarSeries":
         return BarSeries(
             t=self.t[start:stop],

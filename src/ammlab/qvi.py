@@ -289,8 +289,8 @@ def boundary_deviation(sol: QviSolution, c_value: float) -> tuple[float, float]:
     half_cell = 0.5 * sol.problem.s_grid.step
     below = np.where(col & (sol.s < cj - half_cell))[0]
     above = np.where(col & (sol.s > cj + half_cell))[0]
-    lower_dev = abs(sol.s[below[-1]] / cj - 1.0) if len(below) else math.nan
-    upper_dev = abs(sol.s[above[0]] / cj - 1.0) if len(above) else math.nan
+    lower_dev = float(abs(sol.s[below[-1]] / cj - 1.0)) if len(below) else math.nan
+    upper_dev = float(abs(sol.s[above[0]] / cj - 1.0)) if len(above) else math.nan
     return lower_dev, upper_dev
 
 

@@ -65,6 +65,12 @@ class Strategy:
         return s0, default_width
 
     def decide(self, ctx: DecisionContext):
+        """Hold, recenter, or recenter at a price, for the current second.
+
+        Decisions must not depend on gas: backtest.gas_sweep prices every
+        gas level from one run per strategy, and a differential test
+        against per-level runs enforces it.
+        """
         return HOLD
 
 

@@ -134,6 +134,21 @@ class TestRecenter:
         assert pos.accrued_gas == pytest.approx(CFG.gas_cost + 4.50)
 
 
+class TestAccruedGas:
+    @pytest.mark.parametrize("gas", [0.0, 0.1, 2.0, 7.3, 1e4])
+    def test_replays_position_bit_for_bit(self, gas):
+        cfg = ac.PoolConfig(gas_cost=gas)
+        pos = ac.open_position(100.0, cfg, capital=12_345.0)
+        assert ac.accrued_gas(cfg, 12_345.0, 1) == pos.accrued_gas
+        for k, s in enumerate(np.linspace(99.0, 101.0, 200)):
+            ac.recenter(pos, float(s), cfg)
+            assert ac.accrued_gas(cfg, 12_345.0, pos.rebalance_count) == pos.accrued_gas, k
+
+    def test_needs_the_opening(self):
+        with pytest.raises(ValueError):
+            ac.accrued_gas(CFG, 10_000.0, 0)
+
+
 class TestNetRoi:
     def test_headline_value(self):
         pos = make_pos()

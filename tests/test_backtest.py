@@ -1,7 +1,11 @@
 import json
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ammlab import backtest as bt
 from ammlab import envsim, marketdata, neural, strategies as st
@@ -115,6 +119,67 @@ class TestGasSweep:
     def test_levels_validated(self):
         with pytest.raises(ValueError):
             bt.gas_sweep([("lancelot", st.Lancelot)], wandering_series(5, n=100), (0.0, 1.0), POOL)
+
+
+SWEEP_NAMES = ("merlin", "bedivere", "lancelot", "galahad", "rammstein")
+
+
+@pytest.fixture(scope="module")
+def sweep_factories(tmp_path_factory):
+    """A factory for every strategy make_strategy builds; rammstein from a seeded checkpoint."""
+    ckpt = tmp_path_factory.mktemp("policy") / "checkpoint.json"
+    # seed 2 both holds and recenters on the wandering series
+    neural.save_checkpoint(ckpt, neural.Mlp(Q_NET_DIMS, seed=2))
+    params = {"rammstein": {"checkpoint": str(ckpt)}}
+    return [(name, lambda name=name: st.make_strategy(name, params.get(name))) for name in SWEEP_NAMES]
+
+
+@pytest.fixture(scope="module")
+def sweep_series():
+    series = wandering_series(2, n=600)
+    return series, envsim.FeatureTrack(series)
+
+
+def assert_sweep_matches_brute_force(factories, series, features, levels):
+    cfg = PoolConfig(gas_cost=3.0)
+    rows, break_evens = bt.gas_sweep(factories, series, levels, cfg, features=features)
+    assert [(g, name) for g, name, _ in rows] == [(g, name) for name, _ in factories for g in sorted(levels)]
+    for name, factory in factories:
+        curve = []
+        for g in sorted(levels):
+            report, _ = bt.run(factory(), series, replace(cfg, gas_cost=g), features=features)
+            curve.append((g, report.net_roi))
+        swept = [(g, roi) for g, n, roi in rows if n == name]
+        assert swept == curve, name  # exact, not approximate
+        assert break_evens[name] == bt._break_even(curve)
+
+
+class TestGasSweepDifferential:
+    """One run per strategy prices every gas level exactly like a run at that level."""
+
+    def test_rebalance_counts_span_passive_to_busy(self, sweep_factories, sweep_series):
+        series, features = sweep_series
+        counts = {
+            name: bt.run(f(), series, POOL, features=features)[0].rebalance_count
+            for name, f in sweep_factories
+        }
+        assert counts["merlin"] == counts["bedivere"] == 1
+        assert min(counts["lancelot"], counts["galahad"], counts["rammstein"]) > 10
+
+    def test_default_levels(self, sweep_factories, sweep_series):
+        assert_sweep_matches_brute_force(sweep_factories, *sweep_series, (1.0, 2.0, 5.0, 10.0, 20.0, 50.0))
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        levels=hst.lists(
+            hst.floats(min_value=1e-6, max_value=1e4, allow_nan=False, allow_infinity=False),
+            min_size=2,
+            max_size=4,
+            unique=True,
+        )
+    )
+    def test_drawn_levels(self, sweep_factories, sweep_series, levels):
+        assert_sweep_matches_brute_force(sweep_factories, *sweep_series, levels)
 
 
 class TestHeatmap:
