@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import neural
+from . import ammcore, neural
 from .envsim import STATE_DIM, AgentState, LpEnv
 from .errors import BufferTooSmall
 from .neural import Mlp
@@ -227,7 +227,7 @@ def train(env: LpEnv, config: TrainConfig):
                 eps.current,
                 float(np.mean(losses)) if losses else 0.0,
                 rebalances,
-                env.pos.active_seconds / max(env.pos.total_seconds, 1),
+                ammcore.active_fraction(env.pos),
             )
         )
     return agent, log_rows

@@ -123,6 +123,28 @@ def recenter(pos: Position, s: float, cfg: PoolConfig) -> Position:
     return pos
 
 
+def step(pos: Position, target: float | None, price: float, volume: float, cfg: PoolConfig):
+    """One accounted second: recenter at `target` unless it is None, then
+    accrue fees at (price, volume). Returns (fee, gas), gas being what
+    this second's recenter added to pos.accrued_gas.
+
+    Both loops decide at bar i and differ only in the bar whose fee the
+    decision earns. backtest.run passes bar i itself, so a band chosen
+    after seeing close[i] earns second i's fee, and a strategy that
+    recenters on exit is in range at every accounted second. LpEnv.step
+    passes bar i+1, so the agent is rewarded with a fee it could not see
+    when it acted. On the smoke series at seed 0, lancelot makes the same
+    298 rebalances under both but is 100% active in the backtest and
+    97.0% active in the env.
+    """
+    gas = 0.0
+    if target is not None:
+        before = pos.accrued_gas
+        recenter(pos, target, cfg)
+        gas = pos.accrued_gas - before
+    return fee_step(pos, price, volume, cfg), gas
+
+
 def accrued_gas(cfg: PoolConfig, capital: float, rebalances: int) -> float:
     """Total rebalance cost of a position after `rebalances` rebalances.
 

@@ -1,10 +1,8 @@
 """Strategy backtests, gas-cost sweeps, and decision-boundary grids.
 
 The runner walks a bar series second by second: the strategy decides
-from the current bar, the decision is applied (recenters pay the full
-rebalance cost), then the second's fees accrue at the resulting center.
-A strategy that always recenters on exit is therefore in range at every
-accounted second by construction.
+from the current bar, and ammcore.step applies the decision and accrues
+that same bar's fees (its docstring states the fee-bar convention).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from .ammcore import PoolConfig
 from .envsim import FeatureTrack
 from .errors import EmptyData
 from .marketdata import BarSeries
-from .strategies import DecisionContext, Hold, Recenter, RecenterAt, Strategy
+from .strategies import DecisionContext, Hold, RecenterAt, Strategy
 
 
 @dataclass(frozen=True)
@@ -78,27 +76,21 @@ def run(
     trace = []
     for i in range(len(series)):
         price = float(series.close[i])
-        est = features.estimate(i)
-        state = envsim.build_state(price, pos, est, float(features.recent_vol[i]))
         decision = strategy.decide(
-            DecisionContext(index=i, price=price, position=pos, estimate=est, agent_state=state)
-        )
-        acted = 0
-        gas_before = pos.accrued_gas
-        if isinstance(decision, Recenter):
-            ammcore.recenter(pos, price, cfg)
-            acted = 1
-        elif isinstance(decision, RecenterAt):
-            ammcore.recenter(pos, decision.price, cfg)
-            acted = 1
-        elif not isinstance(decision, Hold):
-            raise TypeError(f"unknown decision {decision!r}")
-        fee = ammcore.fee_step(pos, price, float(series.volume[i]), cfg)
-        if collect_trace:
-            in_now = 1 if ammcore.in_range(pos, price) else 0
-            trace.append(
-                (int(series.t[i]), price, pos.center, acted, fee, pos.accrued_gas - gas_before, 0.0, state.theta, in_now)
+            DecisionContext(
+                index=i,
+                price=price,
+                position=pos,
+                estimate=features.estimate(i),
+                recent_vol=float(features.recent_vol[i]),
             )
+        )
+        if not isinstance(decision, (Hold, RecenterAt)):
+            raise TypeError(f"unknown decision {decision!r}")
+        target = decision.price if isinstance(decision, RecenterAt) else None
+        fee, gas = ammcore.step(pos, target, price, float(series.volume[i]), cfg)
+        if collect_trace:
+            trace.append(envsim.trace_row(series, features, i, pos, int(target is not None), fee, gas, 0.0))
 
     report = BacktestReport(
         strategy=strategy.name,

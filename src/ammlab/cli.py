@@ -86,13 +86,16 @@ def _write_manifest(out_dir, command, cfg_hash, seed, outputs):
     return path
 
 
-def _strategy_from(doc, args):
-    spec = doc.get("strategy", {"name": "lancelot"})
-    name = args.strategy or spec.get("name", "lancelot")
+def _strategy_factory(spec, checkpoint):
+    """(name, factory) for a validated spec; --checkpoint applies to rammstein only."""
+    name = spec["name"]
     params = dict(spec.get("params", {}))
-    if args.checkpoint:
-        params["checkpoint"] = args.checkpoint
-    return strategies.make_strategy(name, params)
+    if name == "rammstein":
+        if checkpoint:
+            params["checkpoint"] = checkpoint
+        if "checkpoint" not in params:
+            raise config_mod.ConfigError("rammstein needs --checkpoint or a 'checkpoint' param")
+    return name, lambda: strategies.make_strategy(name, params)
 
 
 def cmd_ingest(args, doc, seed, cfg_hash, out_dir):
@@ -156,10 +159,13 @@ def cmd_train(args, doc, seed, cfg_hash, out_dir):
 
 
 def cmd_backtest(args, doc, seed, cfg_hash, out_dir):
+    spec = doc.get("strategy", {"name": "lancelot"})
+    if args.strategy not in (None, spec["name"]):
+        spec = {"name": args.strategy}  # the config's params belong to its own strategy
+    _, factory = _strategy_factory(spec, args.checkpoint)
     series = _segment(_load_series(doc, seed), doc)
-    strategy = _strategy_from(doc, args)
     report, trace = backtest_mod.run(
-        strategy,
+        factory(),
         series,
         config_mod.pool_config(doc),
         capital=config_mod.capital(doc),
@@ -175,18 +181,11 @@ def cmd_backtest(args, doc, seed, cfg_hash, out_dir):
 
 
 def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
-    series = _segment(_load_series(doc, seed), doc)
     sweep = doc.get("sweep", {})
     specs = sweep.get("strategies") or [doc.get("strategy", {"name": "lancelot"})]
     levels = sweep.get("gas_levels", [1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
-
-    def make_factory(spec):
-        params = dict(spec.get("params", {}))
-        if args.checkpoint and spec["name"] == "rammstein":
-            params["checkpoint"] = args.checkpoint
-        return spec["name"], lambda: strategies.make_strategy(spec["name"], params)
-
-    factories = [make_factory(s) for s in specs]
+    factories = [_strategy_factory(s, args.checkpoint) for s in specs]
+    series = _segment(_load_series(doc, seed), doc)
     rows, break_evens = backtest_mod.gas_sweep(
         factories, series, levels, config_mod.pool_config(doc), config_mod.capital(doc)
     )

@@ -22,7 +22,29 @@ _NUM = {"type": "number"}
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _POSINT = {"type": "integer", "exclusiveMinimum": 0}
-_STRATEGY_NAME = {"enum": ["merlin", "bedivere", "lancelot", "galahad", "rammstein"]}
+_PROB = {"type": "number", "minimum": 0, "maximum": 1}
+
+# The params each strategy accepts; the strategy name enum is its keys.
+_STRATEGY_PARAMS = {
+    "merlin": {},
+    "bedivere": {},
+    "lancelot": {},
+    "galahad": {"horizon": _POS, "theta_override": _NONNEG},
+    "rammstein": {"checkpoint": {"type": "string"}},
+}
+_STRATEGY_SPEC = {
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["name"],
+    "properties": {"name": {"enum": list(_STRATEGY_PARAMS)}, "params": {"type": "object"}},
+    "allOf": [
+        {
+            "if": {"properties": {"name": {"const": name}}},
+            "then": {"properties": {"params": {"additionalProperties": False, "properties": params}}},
+        }
+        for name, params in _STRATEGY_PARAMS.items()
+    ],
+}
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -96,28 +118,20 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "gamma": _POS,
+                "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "batch_size": _POSINT,
                 "target_sync": _POSINT,
                 "episodes": _POSINT,
                 "episode_length": _POSINT,
                 "learning_rate": _POS,
                 "buffer_capacity": _POSINT,
-                "epsilon_start": _NONNEG,
-                "epsilon_end": _NONNEG,
-                "epsilon_decay": _POS,
+                "epsilon_start": _PROB,
+                "epsilon_end": _PROB,
+                "epsilon_decay": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
                 "epsilon_decay_mode": {"enum": ["step", "episode"]},
             },
         },
-        "strategy": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": _STRATEGY_NAME,
-                "params": {"type": "object"},
-            },
-        },
+        "strategy": _STRATEGY_SPEC,
         "backtest": {
             "type": "object",
             "additionalProperties": False,
@@ -127,16 +141,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "strategies": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["name"],
-                        "properties": {"name": _STRATEGY_NAME, "params": {"type": "object"}},
-                    },
-                },
+                "strategies": {"type": "array", "minItems": 1, "items": _STRATEGY_SPEC},
                 "gas_levels": {"type": "array", "minItems": 2, "items": _POS},
             },
         },
@@ -180,10 +185,15 @@ class ConfigError(ValueError):
     pass
 
 
+# Built once: jsonschema.validate re-checks SCHEMA against the metaschema
+# on every call, which costs far more than validating a config does. A
+# test checks SCHEMA instead.
+_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+
 def validate(doc: dict) -> dict:
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if exc is not None:
         raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(str(p) for p in exc.absolute_path)})")
     splits = doc.get("data", {}).get("splits")
     if splits is not None and abs(sum(splits) - 1.0) > 1e-9:
@@ -202,15 +212,9 @@ def config_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
+# Each section's schema keys are its dataclass's fields, which hold the defaults.
 def pool_config(doc: dict) -> PoolConfig:
-    p = doc.get("pool", {})
-    return PoolConfig(
-        fee_tier=p.get("fee_tier", 0.0005),
-        gas_cost=p.get("gas_cost", 2.0),
-        pool_tvl=p.get("pool_tvl", 500_000.0),
-        dex_cex_ratio=p.get("dex_cex_ratio", 0.10),
-        width=p.get("width", 0.002),
-    )
+    return PoolConfig(**{k: v for k, v in doc.get("pool", {}).items() if k != "capital"})
 
 
 def capital(doc: dict) -> float:
@@ -218,26 +222,11 @@ def capital(doc: dict) -> float:
 
 
 def reward_params(doc: dict) -> RewardParams:
-    r = doc.get("reward", {})
-    return RewardParams(scale=r.get("scale", 100.0), active_bonus=r.get("active_bonus", 1e-4))
+    return RewardParams(**doc.get("reward", {}))
 
 
 def train_config(doc: dict, seed: int) -> TrainConfig:
-    t = doc.get("train", {})
-    return TrainConfig(
-        gamma=t.get("gamma", 0.99),
-        batch_size=t.get("batch_size", 128),
-        target_sync=t.get("target_sync", 100),
-        episodes=t.get("episodes", 300),
-        episode_length=t.get("episode_length", 36_000),
-        learning_rate=t.get("learning_rate", 1e-4),
-        buffer_capacity=t.get("buffer_capacity", 100_000),
-        epsilon_start=t.get("epsilon_start", 1.0),
-        epsilon_end=t.get("epsilon_end", 0.05),
-        epsilon_decay=t.get("epsilon_decay", 0.9998),
-        epsilon_decay_mode=t.get("epsilon_decay_mode", "step"),
-        seed=seed,
-    )
+    return TrainConfig(**doc.get("train", {}), seed=seed)
 
 
 PROFILES = {

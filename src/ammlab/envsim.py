@@ -1,8 +1,8 @@
 """Simulation environment for the binary hold/recenter decision problem.
 
 Each step covers one second of bar data. The agent observes an
-8-feature state, optionally recenters (paying the full rebalance cost),
-the clock advances one bar, and fees accrue at the possibly-new center.
+8-feature state, and ammcore.step applies its hold or recenter and
+accrues the next bar's fees (its docstring states the fee-bar convention).
 The reward is scaled net PnL plus a small in-range bonus:
 
     r = scale * (fee - rebalance_cost_paid) / capital
@@ -93,7 +93,7 @@ def build_state(
         theta=est.theta if est.valid else 0.0,
         delta_mu=(est.mu - s) / s if est.valid else 0.0,
         sigma_norm=min(est.sigma / s, SIGMA_NORM_CLIP) if est.valid else 0.0,
-        active_frac=pos.active_seconds / max(pos.total_seconds, 1),
+        active_frac=ammcore.active_fraction(pos),
         recent_vol=min(max(recent_vol, 0.0), RECENT_VOL_CLIP),
         in_range_flag=1.0 if inside else 0.0,
     )
@@ -146,6 +146,22 @@ class FeatureTrack:
 
 
 TRACE_HEADER = ["t", "price", "center", "action", "fee", "gas", "reward", "theta", "in_range"]
+
+
+def trace_row(series: BarSeries, features: FeatureTrack, k: int, pos: Position, acted, fee, gas, reward):
+    """The TRACE_HEADER row of bar k, once its second has been accounted."""
+    price = float(series.close[k])
+    return (
+        int(series.t[k]),
+        price,
+        pos.center,
+        acted,
+        fee,
+        gas,
+        reward,
+        float(features.theta[k]) if features.valid[k] else 0.0,
+        1 if ammcore.in_range(pos, price) else 0,
+    )
 
 
 def write_trace_csv(path, rows) -> None:
@@ -223,36 +239,17 @@ class LpEnv:
         if action not in (0, 1):
             raise ValueError("action must be 0 or 1")
         state = self._state_at(self._i)
-        price_now = float(self.series.close[self._i])
-
-        gas_delta = 0.0
-        if action == 1:
-            before = self.pos.accrued_gas
-            ammcore.recenter(self.pos, price_now, self.pool)
-            gas_delta = self.pos.accrued_gas - before
-
+        target = float(self.series.close[self._i]) if action == 1 else None
         self._i += 1
         self._steps += 1
         price_next = float(self.series.close[self._i])
-        fee = ammcore.fee_step(self.pos, price_next, float(self.series.volume[self._i]), self.pool)
+        fee, gas = ammcore.step(self.pos, target, price_next, float(self.series.volume[self._i]), self.pool)
 
         self._terminal = self._steps >= self.episode_length or self._i >= len(self.series) - 1
         next_state = self._state_at(self._i)
         rp = self.reward_params
-        reward = rp.scale * (fee - gas_delta) / self.capital + rp.active_bonus * next_state.in_range_flag
+        reward = rp.scale * (fee - gas) / self.capital + rp.active_bonus * next_state.in_range_flag
 
-        self.trace.append(
-            (
-                int(self.series.t[self._i]),
-                price_next,
-                self.pos.center,
-                action,
-                fee,
-                gas_delta,
-                reward,
-                next_state.theta,
-                int(next_state.in_range_flag),
-            )
-        )
-        diag = {"fee": fee, "gas": gas_delta, "price": price_next, "in_range": next_state.in_range_flag}
+        self.trace.append(trace_row(self.series, self.features, self._i, self.pos, action, fee, gas, reward))
+        diag = {"fee": fee, "gas": gas, "price": price_next, "in_range": next_state.in_range_flag}
         return Transition(state, action, reward, next_state, self._terminal), diag

@@ -3,7 +3,7 @@
 All strategies decide from information available at the current second;
 the single exception is the omniscient oracle, which fixes its range
 from the whole series up front and is flagged as such. Decisions are one
-of: hold, recenter at the current price, or recenter at a chosen price.
+of: hold, or recenter at a price (the current one or a chosen one).
 """
 
 from __future__ import annotations
@@ -13,24 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ammcore, neural
+from . import ammcore, envsim, neural
 from .agent import Q_NET_DIMS
-from .envsim import AgentState
 from .errors import ShapeError
 from .marketdata import BarSeries
 from .regime import RegimeEstimate
 
 MERLIN_MIN_WIDTH = 1e-4
-GALAHAD_DEFAULT_HORIZON = 60.0
 
 
 @dataclass(frozen=True)
 class Hold:
-    pass
-
-
-@dataclass(frozen=True)
-class Recenter:
     pass
 
 
@@ -40,7 +33,6 @@ class RecenterAt:
 
 
 HOLD = Hold()
-RECENTER = Recenter()
 
 
 @dataclass(frozen=True)
@@ -49,7 +41,7 @@ class DecisionContext:
     price: float
     position: ammcore.Position
     estimate: RegimeEstimate
-    agent_state: AgentState
+    recent_vol: float
 
 
 class Strategy:
@@ -65,7 +57,7 @@ class Strategy:
         return s0, default_width
 
     def decide(self, ctx: DecisionContext):
-        """Hold, recenter, or recenter at a price, for the current second.
+        """HOLD or RecenterAt(price), for the current second.
 
         Decisions must not depend on gas: backtest.gas_sweep prices every
         gas level from one run per strategy, and a differential test
@@ -110,7 +102,7 @@ class Lancelot(Strategy):
 
     def decide(self, ctx: DecisionContext):
         if not ammcore.in_range(ctx.position, ctx.price):
-            return RECENTER
+            return RecenterAt(ctx.price)
         return HOLD
 
 
@@ -126,7 +118,7 @@ class GalahadOu(Strategy):
 
     name = "galahad"
 
-    def __init__(self, horizon: float = GALAHAD_DEFAULT_HORIZON, theta_override: float | None = None):
+    def __init__(self, horizon: float = 60.0, theta_override: float | None = None):
         if horizon <= 0:
             raise ValueError("horizon must be > 0")
         self.horizon = horizon
@@ -166,27 +158,32 @@ class PolicyStrategy(Strategy):
         return cls(net)
 
     def decide(self, ctx: DecisionContext):
-        q = neural.forward(self.net, ctx.agent_state.as_vector())
-        return RECENTER if int(np.argmax(q)) == 1 else HOLD
+        state = envsim.build_state(ctx.price, ctx.position, ctx.estimate, ctx.recent_vol)
+        q = neural.forward(self.net, state.as_vector())
+        return RecenterAt(ctx.price) if int(np.argmax(q)) == 1 else HOLD
+
+
+def _policy(checkpoint: str | None = None) -> PolicyStrategy:
+    if checkpoint is None:
+        raise ValueError("rammstein strategy needs a 'checkpoint' param")
+    return PolicyStrategy.from_checkpoint(checkpoint)
+
+
+_BUILDERS = {
+    "merlin": Merlin,
+    "bedivere": Bedivere,
+    "lancelot": Lancelot,
+    "galahad": GalahadOu,
+    "rammstein": _policy,
+}
 
 
 def make_strategy(name: str, params: dict | None = None) -> Strategy:
-    """Build a strategy from its config name and parameter dict."""
-    params = dict(params or {})
-    if name == "merlin":
-        return Merlin()
-    if name == "bedivere":
-        return Bedivere()
-    if name == "lancelot":
-        return Lancelot()
-    if name == "galahad":
-        return GalahadOu(
-            horizon=params.pop("horizon", GALAHAD_DEFAULT_HORIZON),
-            theta_override=params.pop("theta_override", None),
-        )
-    if name == "rammstein":
-        checkpoint = params.pop("checkpoint", None)
-        if checkpoint is None:
-            raise ValueError("rammstein strategy needs a 'checkpoint' param")
-        return PolicyStrategy.from_checkpoint(checkpoint)
-    raise ValueError(f"unknown strategy {name!r}")
+    """Build a strategy from its config name and parameter dict.
+
+    The params go to the builder as keyword arguments; config.validate
+    has already rejected any a strategy does not take.
+    """
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown strategy {name!r}")
+    return _BUILDERS[name](**(params or {}))

@@ -97,6 +97,27 @@ class TestRebalanceCost:
         assert ac.rebalance_cost(ac.PoolConfig(gas_cost=0.0), 10_000.0) == pytest.approx(2.5)
 
 
+class TestStep:
+    def test_hold_accrues_fee_without_gas(self):
+        pos, ref = make_pos(), make_pos()
+        fee, gas = ac.step(pos, None, 100.1, 5_000.0, CFG)
+        assert (fee, gas) == (ac.fee_step(ref, 100.1, 5_000.0, CFG), 0.0)
+        assert pos == ref
+
+    def test_recenter_then_accrue_at_new_center(self):
+        pos = make_pos()
+        fee, gas = ac.step(pos, 101.0, 101.0, 5_000.0, CFG)
+        assert pos.center == 101.0 and pos.rebalance_count == 1
+        assert gas == pos.accrued_gas == ac.rebalance_cost(CFG, pos.capital)
+        assert fee > 0.0 and pos.active_seconds == 1
+
+    def test_fee_bar_may_leave_new_band(self):
+        pos = make_pos()
+        fee, gas = ac.step(pos, 101.0, 105.0, 5_000.0, CFG)
+        assert fee == 0.0 and gas > 0.0
+        assert (pos.active_seconds, pos.total_seconds) == (0, 1)
+
+
 class TestRecenter:
     def test_moves_center_and_charges(self):
         pos = make_pos()

@@ -1,6 +1,6 @@
 import json
-
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ammlab import backtest as bt
-from ammlab import envsim, marketdata, neural, strategies as st
+from ammlab import ammcore, config, envsim, marketdata, neural, strategies as st
 from ammlab.agent import Q_NET_DIMS
 from ammlab.ammcore import PoolConfig
 from ammlab.errors import EmptyData
@@ -180,6 +180,51 @@ class TestGasSweepDifferential:
     )
     def test_drawn_levels(self, sweep_factories, sweep_series, levels):
         assert_sweep_matches_brute_force(sweep_factories, *sweep_series, levels)
+
+
+class TestEnvBacktestAccounting:
+    """LpEnv and backtest.run share ammcore.step and differ only in the fee bar.
+
+    The backtest credits bar i's fee to the decision made at bar i; the env
+    credits bar i+1's. Lancelot's rule, applied through both loops on the
+    smoke series, pins that convention with exact equality.
+    """
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        doc = config.load(Path(__file__).parent.parent / "configs" / "smoke.json")
+        series = simulate_schedule(config.schedule(doc), 0)
+        features = envsim.FeatureTrack(series)
+        cfg = config.pool_config(doc)
+        report, bt_trace = bt.run(st.Lancelot(), series, cfg, features=features, collect_trace=True)
+        env = envsim.LpEnv(series, cfg, episode_length=len(series) - 1, features=features)
+        state = env.reset(0)
+        while True:
+            transition, _ = env.step(int(state.in_range_flag == 0.0))  # lancelot's rule
+            state = transition.next_state
+            if transition.terminal:
+                break
+        return report, bt_trace, env.pos, env.trace
+
+    def test_same_rebalances_and_gas(self, runs):
+        report, _, env_pos, _ = runs
+        assert env_pos.rebalance_count == report.rebalance_count
+        assert env_pos.accrued_gas == report.total_gas
+
+    def test_same_center_action_gas_each_step(self, runs):
+        _, bt_trace, _, env_trace = runs
+        assert len(env_trace) == len(bt_trace) - 1
+        for i, env_row in enumerate(env_trace):
+            assert env_row[2:4] + env_row[5:6] == bt_trace[i][2:4] + bt_trace[i][5:6], i
+
+    def test_env_fee_is_backtest_fee_one_bar_on(self, runs):
+        report, bt_trace, env_pos, env_trace = runs
+        for i, env_row in enumerate(env_trace):
+            acted_next = bt_trace[i + 1][3]
+            assert env_row[4] == (0.0 if acted_next else bt_trace[i + 1][4]), i
+        # lancelot is in range at every backtest second, but not every env second
+        assert report.active_fraction == 1.0
+        assert ammcore.active_fraction(env_pos) < 1.0
 
 
 class TestHeatmap:

@@ -3,7 +3,10 @@ import filecmp
 import json
 import math
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ammlab import cli, config as config_mod
 
@@ -172,6 +175,67 @@ class TestPipeline:
         assert len(rows) == 1 + 3 * 3
 
 
+BAD_STRATEGY_SPECS = [
+    {"name": "galahad", "params": {"horizn": 5}},
+    {"name": "lancelot", "params": {"bogus": 1}},
+    {"name": "galahad", "params": {"horizon": 0}},
+    {"name": "rammstein"},  # no checkpoint, and no --checkpoint
+]
+
+
+class TestStrategySpecs:
+    """Bad strategy specs are config errors (exit 1) before any work."""
+
+    @pytest.mark.parametrize("spec", BAD_STRATEGY_SPECS, ids=lambda s: json.dumps(s))
+    def test_backtest_spec_exits_one(self, tmp_path, spec):
+        cfg = write_config(tmp_path, base_config(strategy=spec))
+        out = tmp_path / "bt"
+        assert cli.main(["backtest", "--config", cfg, "--out", str(out)]) == 1
+        assert not any(out.glob("*"))
+
+    @pytest.mark.parametrize("spec", BAD_STRATEGY_SPECS, ids=lambda s: json.dumps(s))
+    def test_sweep_spec_exits_one(self, tmp_path, spec):
+        doc = base_config(sweep={"strategies": [{"name": "lancelot"}, spec], "gas_levels": [1.0, 5.0]})
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep-gas", "--config", cfg, "--out", str(out)]) == 1
+        assert not any(out.glob("*"))
+
+    def test_rammstein_flag_without_checkpoint_exits_one(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(strategy={"name": "lancelot"}))
+        out = tmp_path / "bt"
+        assert cli.main(["backtest", "--config", cfg, "--out", str(out), "--strategy", "rammstein"]) == 1
+
+    def test_strategy_flag_drops_other_strategys_params(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(strategy={"name": "galahad", "params": {"horizon": 5}}))
+        out = tmp_path / "bt"
+        argv = ["backtest", "--config", cfg, "--out", str(out), "--strategy", "lancelot", "--checkpoint", "unused"]
+        assert cli.main(argv) == 0
+        assert json.loads((out / "report.json").read_text())["strategy"] == "lancelot"
+
+
+class TestTrainingBounds:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hst.one_of(
+            hst.tuples(hst.just("gamma"), hst.floats(1.0, 1e6)),
+            hst.tuples(hst.just("gamma"), hst.floats(-1e6, 0.0)),
+            hst.tuples(hst.sampled_from(["epsilon_start", "epsilon_end"]), hst.floats(-1e6, -1e-9)),
+            hst.tuples(
+                hst.sampled_from(["epsilon_start", "epsilon_end", "epsilon_decay"]),
+                hst.floats(1.0, 1e6, exclude_min=True),
+            ),
+        )
+    )
+    def test_out_of_range_exits_one(self, tmp_path_factory, bad):
+        key, value = bad
+        tmp = tmp_path_factory.mktemp("bounds")
+        cfg = write_config(tmp, base_config(train={key: value}))
+        out = tmp / "train"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_train_twice_byte_identical(self, tmp_path):
         doc = base_config(
@@ -213,6 +277,9 @@ class TestDeterminism:
 
 
 class TestSchema:
+    def test_schema_is_valid(self):
+        jsonschema.Draft202012Validator.check_schema(config_mod.SCHEMA)
+
     def test_valid_document_passes(self):
         config_mod.validate(base_config())
 

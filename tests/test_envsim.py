@@ -226,6 +226,16 @@ class TestRollingVol:
         direct = np.std(r[i - 300 : i])
         assert out[i] == pytest.approx(direct, rel=1e-9)
 
+    def test_trace_row_columns_and_theta_fallback(self):
+        series = series_from_closes([100.0] * 5 + [100.5], volume=10.0)
+        features = envsim.FeatureTrack(series)  # far too short for a valid estimate
+        pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
+        row = envsim.trace_row(series, features, 5, pos, 1, 0.25, 4.5, 0.01)
+        assert row == (5, 100.5, 100.0, 1, 0.25, 4.5, 0.01, 0.0, 0)
+        assert len(row) == len(envsim.TRACE_HEADER)
+        features.theta[4], features.valid[4] = 0.03, True
+        assert envsim.trace_row(series, features, 4, pos, 0, 0.0, 0.0, 0.0)[7:] == (0.03, 1)
+
     def test_trace_csv_round_trip(self, tmp_path):
         rows = [(0, 100.0, 100.0, 0, 0.1, 0.0, 0.001, 0.05, 1)]
         path = tmp_path / "trace.csv"

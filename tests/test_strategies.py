@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ammlab import ammcore, backtest, envsim, marketdata, neural, regime, strategies as st
+from ammlab import ammcore, backtest, marketdata, neural, regime, strategies as st
 from ammlab.agent import Q_NET_DIMS
 from ammlab.ammcore import PoolConfig
 from ammlab.errors import ShapeError
@@ -20,8 +20,7 @@ def series_from_closes(closes, volume=1000.0):
 def ctx_for(price, center, theta=0.05, mu=100.0, sigma=0.5, valid=True, width=0.002):
     pos = ammcore.Position(center=center, width=width, capital=1e4)
     est = regime.RegimeEstimate(theta=theta, mu=mu, sigma=sigma, window_len=1800, valid=valid)
-    state = envsim.build_state(price, pos, est, 0.0)
-    return st.DecisionContext(index=0, price=price, position=pos, estimate=est, agent_state=state)
+    return st.DecisionContext(index=0, price=price, position=pos, estimate=est, recent_vol=0.0)
 
 
 def constant_policy_net(q0, q1):
@@ -77,7 +76,7 @@ class TestLancelot:
 
     def test_recenters_when_out(self):
         decision = st.Lancelot().decide(ctx_for(100.5, 100.0))
-        assert isinstance(decision, st.Recenter)
+        assert decision == st.RecenterAt(100.5)
 
     def test_always_active_structurally(self):
         rng = np.random.default_rng(0)
@@ -126,7 +125,7 @@ class TestPolicyStrategy:
 
     def test_constant_recenter(self):
         pol = st.PolicyStrategy(constant_policy_net(-1.0, 0.0))
-        assert isinstance(pol.decide(ctx_for(100.0, 100.0)), st.Recenter)
+        assert isinstance(pol.decide(ctx_for(100.0, 100.0)), st.RecenterAt)
 
     def test_tie_holds(self):
         pol = st.PolicyStrategy(constant_policy_net(0.0, 0.0))
@@ -141,7 +140,7 @@ class TestPolicyStrategy:
         path = tmp_path / "ckpt.json"
         neural.save_checkpoint(path, net)
         pol = st.PolicyStrategy.from_checkpoint(path)
-        assert isinstance(pol.decide(ctx_for(100.0, 100.0)), st.Recenter)
+        assert isinstance(pol.decide(ctx_for(100.0, 100.0)), st.RecenterAt)
 
 
 class TestNoLookAhead:
