@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ammcore, neural
-from .envsim import STATE_DIM, AgentState, LpEnv
+from .envsim import STATE_DIM, LpEnv
 from .errors import BufferTooSmall
 from .neural import Mlp
 
@@ -110,17 +110,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-def _vec(state) -> np.ndarray:
-    return state.as_vector() if isinstance(state, AgentState) else np.asarray(state, dtype=np.float64)
-
-
 def select_action(net: Mlp, state, epsilon: float, rng: np.random.Generator) -> int:
     """Epsilon-greedy over the two Q-outputs; exact ties go to hold (0)."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     if rng.random() < epsilon:
         return int(rng.integers(0, 2))
-    q = neural.forward(net, _vec(state))
+    q = neural.forward(net, state)
     return int(np.argmax(q))  # first max wins, so ties pick action 0
 
 
@@ -203,21 +199,15 @@ def train(env: LpEnv, config: TrainConfig):
         rebalances = 0
         while True:
             action = select_action(agent.online, state, eps.current, agent.rng)
-            transition, _ = env.step(action)
-            agent.buffer.push(
-                _vec(transition.state),
-                transition.action,
-                transition.reward,
-                _vec(transition.next_state),
-                transition.terminal,
-            )
+            next_state, reward, terminal = env.step(action)
+            agent.buffer.push(state, action, reward, next_state, terminal)
             if len(agent.buffer) >= config.batch_size:
                 losses.append(agent.train_step())
             eps.on_step()
-            ep_return += transition.reward
+            ep_return += reward
             rebalances += action
-            state = transition.next_state
-            if transition.terminal:
+            state = next_state
+            if terminal:
                 break
         eps.on_episode_end()
         log_rows.append(

@@ -47,7 +47,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="run-config JSON path")
         p.add_argument("--out", required=True, help="output directory (all writes go here)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--strategy", default=None, help="strategy name override (backtest)")
+        p.add_argument(
+            "--strategy", choices=config_mod.STRATEGY_NAMES, default=None, help="strategy name override (backtest)"
+        )
         p.add_argument("--checkpoint", default=None, help="policy checkpoint path")
         p.add_argument("--profile", choices=["smoke", "full"], default=None, help="training profile")
     return parser

@@ -23,6 +23,7 @@ _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 _POSINT = {"type": "integer", "exclusiveMinimum": 0}
 _PROB = {"type": "number", "minimum": 0, "maximum": 1}
+_OPEN_UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 
 # The params each strategy accepts; the strategy name enum is its keys.
 _STRATEGY_PARAMS = {
@@ -32,11 +33,12 @@ _STRATEGY_PARAMS = {
     "galahad": {"horizon": _POS, "theta_override": _NONNEG},
     "rammstein": {"checkpoint": {"type": "string"}},
 }
+STRATEGY_NAMES = list(_STRATEGY_PARAMS)
 _STRATEGY_SPEC = {
     "type": "object",
     "additionalProperties": False,
     "required": ["name"],
-    "properties": {"name": {"enum": list(_STRATEGY_PARAMS)}, "params": {"type": "object"}},
+    "properties": {"name": {"enum": STRATEGY_NAMES}, "params": {"type": "object"}},
     "allOf": [
         {
             "if": {"properties": {"name": {"const": name}}},
@@ -101,11 +103,11 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "fee_tier": _POS,
+                "fee_tier": _OPEN_UNIT,
                 "gas_cost": _NONNEG,
                 "pool_tvl": _POS,
-                "dex_cex_ratio": _POS,
-                "width": _POS,
+                "dex_cex_ratio": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+                "width": _OPEN_UNIT,
                 "capital": _POS,
             },
         },
@@ -118,7 +120,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "gamma": _OPEN_UNIT,
                 "batch_size": _POSINT,
                 "target_sync": _POSINT,
                 "episodes": _POSINT,

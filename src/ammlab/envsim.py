@@ -1,9 +1,12 @@
 """Simulation environment for the binary hold/recenter decision problem.
 
 Each step covers one second of bar data. The agent observes an
-8-feature state, and ammcore.step applies its hold or recenter and
-accrues the next bar's fees (its docstring states the fee-bar convention).
-The reward is scaled net PnL plus a small in-range bonus:
+8-feature float64 row (build_state states its order), and ammcore.step
+applies its hold or recenter and accrues the next bar's fees (its
+docstring states the fee-bar convention). LpEnv.step returns
+(next_state, reward, terminal), like a gym environment; the caller keeps
+the observation it acted on. The reward is scaled net PnL plus a small
+in-range bonus:
 
     r = scale * (fee - rebalance_cost_paid) / capital
         + active_bonus * in_range(next bar)
@@ -43,59 +46,29 @@ class RewardParams:
             raise ValueError("active_bonus must be >= 0")
 
 
-@dataclass(frozen=True)
-class AgentState:
-    delta_p: float
-    d_edge: float
-    theta: float
-    delta_mu: float
-    sigma_norm: float
-    active_frac: float
-    recent_vol: float
-    in_range_flag: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.delta_p,
-                self.d_edge,
-                self.theta,
-                self.delta_mu,
-                self.sigma_norm,
-                self.active_frac,
-                self.recent_vol,
-                self.in_range_flag,
-            ]
-        )
-
-
-@dataclass(frozen=True)
-class Transition:
-    state: AgentState
-    action: int
-    reward: float
-    next_state: AgentState
-    terminal: bool
-
-
 def build_state(
     s: float,
     pos: Position,
     est: regime.RegimeEstimate,
     recent_vol: float,
-) -> AgentState:
-    """Assemble the observation vector; fallbacks keep every field finite."""
-    inside = ammcore.in_range(pos, s)
+) -> np.ndarray:
+    """The float64 observation row; fallbacks keep every entry finite.
+
+    Order: delta_p, d_edge, theta, delta_mu, sigma_norm, active_frac,
+    recent_vol, in_range.
+    """
     d_edge = (s - pos.center) / (pos.center * pos.width)
-    return AgentState(
-        delta_p=s / pos.center - 1.0,
-        d_edge=min(max(d_edge, -1.0), 1.0),
-        theta=est.theta if est.valid else 0.0,
-        delta_mu=(est.mu - s) / s if est.valid else 0.0,
-        sigma_norm=min(est.sigma / s, SIGMA_NORM_CLIP) if est.valid else 0.0,
-        active_frac=ammcore.active_fraction(pos),
-        recent_vol=min(max(recent_vol, 0.0), RECENT_VOL_CLIP),
-        in_range_flag=1.0 if inside else 0.0,
+    return np.array(
+        [
+            s / pos.center - 1.0,
+            min(max(d_edge, -1.0), 1.0),
+            est.theta if est.valid else 0.0,
+            (est.mu - s) / s if est.valid else 0.0,
+            min(est.sigma / s, SIGMA_NORM_CLIP) if est.valid else 0.0,
+            ammcore.active_fraction(pos),
+            min(max(recent_vol, 0.0), RECENT_VOL_CLIP),
+            1.0 if ammcore.in_range(pos, s) else 0.0,
+        ]
     )
 
 
@@ -127,7 +100,6 @@ class FeatureTrack:
 
     def __init__(self, series: BarSeries, dt: float = 1.0, window: int = regime.DEFAULT_WINDOW):
         self.series = series
-        self.window = window
         th, mu, sg, va = regime.rolling_estimates(series.close, dt, window)
         self.theta = th
         self.mu = mu
@@ -140,7 +112,6 @@ class FeatureTrack:
             theta=float(self.theta[i]),
             mu=float(self.mu[i]),
             sigma=float(self.sigma[i]),
-            window_len=min(i + 1, self.window),
             valid=bool(self.valid[i]),
         )
 
@@ -205,7 +176,7 @@ class LpEnv:
     def max_start(self) -> int:
         return len(self.series) - 1 - self.episode_length
 
-    def reset(self, start_index: int | None = None) -> AgentState:
+    def reset(self, start_index: int | None = None) -> np.ndarray:
         if start_index is None:
             hi = self.max_start()
             if hi < 0:
@@ -224,7 +195,7 @@ class LpEnv:
         self.trace = []
         return self._state_at(self._i)
 
-    def _state_at(self, i: int) -> AgentState:
+    def _state_at(self, i: int) -> np.ndarray:
         return build_state(
             float(self.series.close[i]),
             self.pos,
@@ -233,12 +204,11 @@ class LpEnv:
         )
 
     def step(self, action: int):
-        """Apply hold (0) or recenter (1); returns (Transition, diagnostics)."""
+        """Apply hold (0) or recenter (1); returns (next_state, reward, terminal)."""
         if self._terminal:
             raise EpisodeFinished("call reset() before stepping again")
         if action not in (0, 1):
             raise ValueError("action must be 0 or 1")
-        state = self._state_at(self._i)
         target = float(self.series.close[self._i]) if action == 1 else None
         self._i += 1
         self._steps += 1
@@ -248,8 +218,7 @@ class LpEnv:
         self._terminal = self._steps >= self.episode_length or self._i >= len(self.series) - 1
         next_state = self._state_at(self._i)
         rp = self.reward_params
-        reward = rp.scale * (fee - gas) / self.capital + rp.active_bonus * next_state.in_range_flag
+        reward = rp.scale * (fee - gas) / self.capital + rp.active_bonus * float(next_state[-1])
 
         self.trace.append(trace_row(self.series, self.features, self._i, self.pos, action, fee, gas, reward))
-        diag = {"fee": fee, "gas": gas, "price": price_next, "in_range": next_state.in_range_flag}
-        return Transition(state, action, reward, next_state, self._terminal), diag
+        return next_state, reward, self._terminal

@@ -36,7 +36,6 @@ class RegimeEstimate:
     theta: float
     mu: float
     sigma: float
-    window_len: int
     valid: bool
 
     def half_life(self) -> float:
@@ -52,23 +51,23 @@ def half_life(theta: float) -> float:
     return math.log(2.0) / theta
 
 
-def _fallback(current_price: float, window_len: int) -> RegimeEstimate:
-    return RegimeEstimate(theta=0.0, mu=float(current_price), sigma=0.0, window_len=window_len, valid=False)
+def _fallback(current_price: float) -> RegimeEstimate:
+    return RegimeEstimate(theta=0.0, mu=float(current_price), sigma=0.0, valid=False)
 
 
-def _from_sums(n, sx, sy, sxx, sxy, syy, offset, last_price, dt, window_len) -> RegimeEstimate:
+def _from_sums(n, sx, sy, sxx, sxy, syy, offset, last_price, dt) -> RegimeEstimate:
     """Build an estimate from pair sums over offset prices."""
     if n < 2:
-        return _fallback(last_price, window_len)
+        return _fallback(last_price)
     mean_x = sx / n
     mean_y = sy / n
     var_x = sxx / n - mean_x * mean_x
     if var_x <= _MIN_REGRESSOR_VAR:
-        return _fallback(last_price, window_len)
+        return _fallback(last_price)
     cov_xy = sxy / n - mean_x * mean_y
     beta = cov_xy / var_x
     if beta >= 0.0:
-        return _fallback(last_price, window_len)
+        return _fallback(last_price)
     alpha = mean_y - beta * mean_x
     theta = min(max(-beta / dt, 0.0), 1.0)
     mu = offset - alpha / beta
@@ -77,8 +76,8 @@ def _from_sums(n, sx, sy, sxx, sxy, syy, offset, last_price, dt, window_len) -> 
     resid_var = max(var_y - beta * beta * var_x, 0.0)
     sigma = math.sqrt(resid_var) / math.sqrt(dt)
     if not (math.isfinite(mu) and math.isfinite(sigma)):
-        return _fallback(last_price, window_len)
-    return RegimeEstimate(theta=theta, mu=mu, sigma=sigma, window_len=window_len, valid=True)
+        return _fallback(last_price)
+    return RegimeEstimate(theta=theta, mu=mu, sigma=sigma, valid=True)
 
 
 def estimate(prices, dt: float = 1.0) -> RegimeEstimate:
@@ -98,17 +97,17 @@ def estimate(prices, dt: float = 1.0) -> RegimeEstimate:
     mean_x = float(np.mean(x))
     var_x = float(np.mean((x - mean_x) ** 2))
     if n < 2 or var_x <= _MIN_REGRESSOR_VAR:
-        return _fallback(last, len(prices))
+        return _fallback(last)
     beta = float(np.mean((x - mean_x) * (y - np.mean(y)))) / var_x
     if beta >= 0.0:
-        return _fallback(last, len(prices))
+        return _fallback(last)
     alpha = float(np.mean(y)) - beta * mean_x
     theta = min(max(-beta / dt, 0.0), 1.0)
     mu = float(offset) - alpha / beta
     sigma = float(np.std(y - alpha - beta * x)) / math.sqrt(dt)
     if not (math.isfinite(mu) and math.isfinite(sigma)):
-        return _fallback(last, len(prices))
-    return RegimeEstimate(theta=theta, mu=mu, sigma=sigma, window_len=len(prices), valid=True)
+        return _fallback(last)
+    return RegimeEstimate(theta=theta, mu=mu, sigma=sigma, valid=True)
 
 
 class RollingOuEstimator:
@@ -174,7 +173,7 @@ class RollingOuEstimator:
     def current(self) -> RegimeEstimate:
         if len(self._prices) < 3:
             last = self._prices[-1] if self._prices else math.nan
-            return _fallback(last, len(self._prices))
+            return _fallback(last)
         return _from_sums(
             self._n,
             self._sx,
@@ -185,7 +184,6 @@ class RollingOuEstimator:
             self._offset,
             self._prices[-1],
             self.dt,
-            len(self._prices),
         )
 
 

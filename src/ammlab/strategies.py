@@ -159,7 +159,7 @@ class PolicyStrategy(Strategy):
 
     def decide(self, ctx: DecisionContext):
         state = envsim.build_state(ctx.price, ctx.position, ctx.estimate, ctx.recent_vol)
-        q = neural.forward(self.net, state.as_vector())
+        q = neural.forward(self.net, state)
         return RecenterAt(ctx.price) if int(np.argmax(q)) == 1 else HOLD
 
 

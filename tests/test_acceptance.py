@@ -60,24 +60,23 @@ def run_episodes(env, decide, starts):
             action = decide(state, env)
             if action == 1:
                 deviations.append(abs(float(env.series.close[env._i]) / env.pos.center - 1.0))
-            tr, _ = env.step(action)
+            state, _, terminal = env.step(action)
             rebalances += action
-            active += tr.next_state.in_range_flag
+            active += state[-1]
             total += 1
-            state = tr.next_state
-            if tr.terminal:
+            if terminal:
                 break
         fees += env.pos.accrued_fees
     return rebalances, active / total, fees, deviations
 
 
 def lancelot_decide(state, env):
-    return 0 if state.in_range_flag else 1
+    return 0 if state[-1] else 1
 
 
 def greedy_decide(net):
     def decide(state, env):
-        return int(np.argmax(neural.forward(net, state.as_vector())))
+        return int(np.argmax(neural.forward(net, state)))
 
     return decide
 

@@ -237,6 +237,16 @@ class TestTrainLoop:
         assert all(np.array_equal(wa, wb) for wa, wb in zip(a[0].online.weights, b[0].online.weights))
         assert all(np.array_equal(ba, bb) for ba, bb in zip(a[0].online.biases, b[0].online.biases))
 
+    def test_buffer_chains_observations(self):
+        # within an episode, each transition's next_state is the next one's state
+        env = tiny_env()
+        cfg = ag.TrainConfig(episodes=2, episode_length=30, batch_size=8, seed=5)
+        buf = ag.train(env, cfg)[0].buffer
+        assert len(buf) == 60 and np.flatnonzero(buf.terminals[:60]).tolist() == [29, 59]
+        for k in range(59):
+            if k != 29:
+                assert np.array_equal(buf.states[k + 1], buf.next_states[k]), k
+
     def test_log_row_shape(self):
         env = tiny_env()
         cfg = ag.TrainConfig(episodes=3, episode_length=30, batch_size=8, seed=5)

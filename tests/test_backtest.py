@@ -200,9 +200,8 @@ class TestEnvBacktestAccounting:
         env = envsim.LpEnv(series, cfg, episode_length=len(series) - 1, features=features)
         state = env.reset(0)
         while True:
-            transition, _ = env.step(int(state.in_range_flag == 0.0))  # lancelot's rule
-            state = transition.next_state
-            if transition.terminal:
+            state, _, terminal = env.step(int(state[-1] == 0.0))  # lancelot's rule
+            if terminal:
                 break
         return report, bt_trace, env.pos, env.trace
 

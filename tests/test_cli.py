@@ -66,6 +66,24 @@ class TestValidation:
         rc = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
 
+    def test_unknown_strategy_flag_exits_one(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "bt"
+        assert cli.main(["backtest", "--config", cfg, "--out", str(out), "--strategy", "gawain"]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "qvi"])
+    @pytest.mark.parametrize("key, value", [("width", 1.5), ("fee_tier", 1.0), ("dex_cex_ratio", 2.0)])
+    def test_pool_out_of_bounds_exits_one(self, tmp_path, command, key, value):
+        cfg = write_config(tmp_path, base_config(pool={key: value}))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_pool_bounds_match_pool_config(self):
+        doc = config_mod.validate(base_config(pool={"dex_cex_ratio": 1.0, "width": 0.999, "fee_tier": 0.999}))
+        assert config_mod.pool_config(doc).dex_cex_ratio == 1.0
+
 
 class TestPipeline:
     def test_synth_then_estimate_row_counts(self, tmp_path):

@@ -21,49 +21,48 @@ def series_from_closes(closes, volume=0.0):
 
 
 def valid_estimate(theta=0.05, mu=100.0, sigma=0.5):
-    return regime.RegimeEstimate(theta=theta, mu=mu, sigma=sigma, window_len=1800, valid=True)
+    return regime.RegimeEstimate(theta=theta, mu=mu, sigma=sigma, valid=True)
 
 
 class TestBuildState:
     def test_centered(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        st = envsim.build_state(100.0, pos, valid_estimate(mu=100.0), 0.0)
-        assert st.delta_p == 0.0
-        assert st.d_edge == 0.0
-        assert st.in_range_flag == 1.0
+        delta_p, d_edge, *_, in_range = envsim.build_state(100.0, pos, valid_estimate(mu=100.0), 0.0)
+        assert delta_p == 0.0
+        assert d_edge == 0.0
+        assert in_range == 1.0
 
     def test_boundary_hits_edge_exactly(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        st = envsim.build_state(100.0 * 1.002, pos, valid_estimate(), 0.0)
-        assert st.d_edge == 1.0
-        assert st.in_range_flag == 1.0
+        _, d_edge, *_, in_range = envsim.build_state(100.0 * 1.002, pos, valid_estimate(), 0.0)
+        assert d_edge == 1.0
+        assert in_range == 1.0
 
     def test_beyond_boundary_clips(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
         s = 100.0 * 1.004
-        st = envsim.build_state(s, pos, valid_estimate(), 0.0)
-        assert st.d_edge == 1.0
-        assert st.in_range_flag == 0.0
-        assert st.delta_p == pytest.approx(0.004, rel=1e-9)
+        delta_p, d_edge, *_, in_range = envsim.build_state(s, pos, valid_estimate(), 0.0)
+        assert d_edge == 1.0
+        assert in_range == 0.0
+        assert delta_p == pytest.approx(0.004, rel=1e-9)
 
     def test_invalid_estimate_fallbacks(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        bad = regime.RegimeEstimate(theta=0.0, mu=100.0, sigma=0.0, window_len=2, valid=False)
-        st = envsim.build_state(100.0, pos, bad, 0.0)
-        assert st.theta == 0.0 and st.delta_mu == 0.0 and st.sigma_norm == 0.0
+        bad = regime.RegimeEstimate(theta=0.0, mu=100.0, sigma=0.0, valid=False)
+        _, _, theta, delta_mu, sigma_norm, *_ = envsim.build_state(100.0, pos, bad, 0.0)
+        assert theta == 0.0 and delta_mu == 0.0 and sigma_norm == 0.0
 
     def test_clips(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        st = envsim.build_state(100.0, pos, valid_estimate(sigma=500.0), 7.0)
-        assert st.sigma_norm == envsim.SIGMA_NORM_CLIP
-        assert st.recent_vol == envsim.RECENT_VOL_CLIP
+        *_, sigma_norm, _, recent_vol, _ = envsim.build_state(100.0, pos, valid_estimate(sigma=500.0), 7.0)
+        assert sigma_norm == envsim.SIGMA_NORM_CLIP
+        assert recent_vol == envsim.RECENT_VOL_CLIP
 
     def test_vector_order(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        st = envsim.build_state(100.0, pos, valid_estimate(), 0.01)
-        v = st.as_vector()
-        assert v.shape == (8,)
-        assert v[2] == st.theta and v[7] == st.in_range_flag
+        v = envsim.build_state(100.0, pos, valid_estimate(theta=0.05), 0.01)
+        assert v.shape == (envsim.STATE_DIM,) and v.dtype == np.float64
+        assert v[2] == 0.05 and v[7] == 1.0
 
 
 class TestStep:
@@ -71,25 +70,40 @@ class TestStep:
         closes = [100.0] + [150.0] * 30  # jumps away immediately, never returns
         env = envsim.LpEnv(series_from_closes(closes, volume=1e5), POOL, REWARD, episode_length=10, seed=0)
         env.reset(0)
-        tr, _ = env.step(0)
-        assert tr.reward == 0.0
-        assert tr.next_state.in_range_flag == 0.0
+        next_state, reward, _ = env.step(0)
+        assert reward == 0.0
+        assert next_state[-1] == 0.0
 
     def test_recenter_cost_and_bonus(self):
         env = envsim.LpEnv(flat_series(volume=0.0), POOL, REWARD, episode_length=10, seed=0)
         env.reset(0)
-        tr, diag = env.step(1)
+        _, reward, _ = env.step(1)
         # no volume means no fee; pay 4.50 and collect the in-range bonus
-        assert tr.reward == pytest.approx(100.0 * (-4.50 / 10_000.0) + 1e-4)
-        assert diag["gas"] == pytest.approx(4.50)
+        assert reward == pytest.approx(100.0 * (-4.50 / 10_000.0) + 1e-4)
+        assert env.trace[-1][5] == pytest.approx(4.50)
 
     def test_fee_reward_arithmetic(self):
         env = envsim.LpEnv(flat_series(volume=1e5), POOL, REWARD, episode_length=10, seed=0)
         env.reset(0)
-        tr, diag = env.step(0)
-        fee = diag["fee"]
+        _, reward, _ = env.step(0)
+        fee = env.trace[-1][4]
         assert fee == pytest.approx(2.236, abs=5e-4)
-        assert tr.reward == pytest.approx(100.0 * fee / 10_000.0 + 1e-4)
+        assert reward == pytest.approx(100.0 * fee / 10_000.0 + 1e-4)
+
+    def test_one_observation_per_step(self, monkeypatch):
+        calls = []
+        build_state = envsim.build_state
+
+        def counted(*args):
+            calls.append(args)
+            return build_state(*args)
+
+        monkeypatch.setattr(envsim, "build_state", counted)
+        env = envsim.LpEnv(flat_series(volume=1e5), POOL, REWARD, episode_length=10, seed=0)
+        env.reset(0)
+        for _ in range(7):
+            env.step(0)
+        assert len(calls) == 7 + 1
 
     def test_hold_never_moves_center(self):
         env = envsim.LpEnv(flat_series(), POOL, REWARD, episode_length=10, seed=0)
@@ -111,8 +125,8 @@ class TestStep:
         env = envsim.LpEnv(flat_series(), POOL, REWARD, episode_length=2, seed=0)
         env.reset(0)
         env.step(0)
-        tr, _ = env.step(0)
-        assert tr.terminal
+        _, _, terminal = env.step(0)
+        assert terminal
         with pytest.raises(EpisodeFinished):
             env.step(0)
 
@@ -122,9 +136,9 @@ class TestStep:
         env.reset(0)
         steps = 0
         while True:
-            tr, _ = env.step(0)
+            _, _, terminal = env.step(0)
             steps += 1
-            if tr.terminal:
+            if terminal:
                 break
         assert steps == 4
 
@@ -133,10 +147,10 @@ class TestReset:
     def test_centers_at_start_close(self):
         closes = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0]
         env = envsim.LpEnv(series_from_closes(closes), POOL, REWARD, episode_length=3, seed=0)
-        st = env.reset(2)
+        *_, active_frac, _, in_range = env.reset(2)
         assert env.pos.center == 102.0
-        assert st.active_frac == 0.0
-        assert st.in_range_flag == 1.0
+        assert active_frac == 0.0
+        assert in_range == 1.0
 
     def test_initial_placement_charged_gas_only(self):
         env = envsim.LpEnv(flat_series(), POOL, REWARD, episode_length=5, seed=0)
@@ -177,10 +191,10 @@ class TestEpisodeInvariants:
         total = 0.0
         bonus = 0.0
         while True:
-            tr, _ = env.step(int(rng.random() < 0.05))
-            total += tr.reward
-            bonus += REWARD.active_bonus * tr.next_state.in_range_flag
-            if tr.terminal:
+            next_state, reward, terminal = env.step(int(rng.random() < 0.05))
+            total += reward
+            bonus += REWARD.active_bonus * next_state[-1]
+            if terminal:
                 break
         episode_pnl = (env.pos.accrued_fees - fees0) - (env.pos.accrued_gas - gas0)
         assert (total - bonus) / REWARD.scale == pytest.approx(episode_pnl / 10_000.0, abs=1e-9)
@@ -189,8 +203,8 @@ class TestEpisodeInvariants:
         env = self.make_env()
         env.reset(0)
         while True:
-            tr, _ = env.step(0)
-            if tr.terminal:
+            _, _, terminal = env.step(0)
+            if terminal:
                 break
         assert len(env.trace) == 200
         t, price, center, action, fee, gas, reward, theta, in_r = env.trace[0]
@@ -204,9 +218,9 @@ class TestEpisodeInvariants:
             rewards = []
             rng = np.random.default_rng(11)
             while True:
-                tr, _ = env.step(int(rng.random() < 0.1))
-                rewards.append(tr.reward)
-                if tr.terminal:
+                _, reward, terminal = env.step(int(rng.random() < 0.1))
+                rewards.append(reward)
+                if terminal:
                     break
             seqs.append(rewards)
         assert seqs[0] == seqs[1]

@@ -19,7 +19,7 @@ def series_from_closes(closes, volume=1000.0):
 
 def ctx_for(price, center, theta=0.05, mu=100.0, sigma=0.5, valid=True, width=0.002):
     pos = ammcore.Position(center=center, width=width, capital=1e4)
-    est = regime.RegimeEstimate(theta=theta, mu=mu, sigma=sigma, window_len=1800, valid=valid)
+    est = regime.RegimeEstimate(theta=theta, mu=mu, sigma=sigma, valid=valid)
     return st.DecisionContext(index=0, price=price, position=pos, estimate=est, recent_vol=0.0)
 
 
