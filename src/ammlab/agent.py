@@ -13,12 +13,11 @@ counted across episode boundaries.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ammcore, neural
+from . import ammcore, artifacts, neural
 from .envsim import STATE_DIM, LpEnv
 from .errors import BufferTooSmall
 from .neural import Mlp
@@ -169,10 +168,7 @@ LOG_HEADER = ["episode", "return", "epsilon", "mean_loss", "rebalances", "active
 
 
 def write_train_log(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_HEADER)
-        writer.writerows(rows)
+    artifacts.write_csv(path, LOG_HEADER, rows)
 
 
 def train(env: LpEnv, config: TrainConfig):

@@ -7,13 +7,11 @@ that same bar's fees (its docstring states the fee-bar convention).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ammcore, envsim, neural
+from . import ammcore, artifacts, envsim, neural
 from .ammcore import PoolConfig
 from .envsim import FeatureTrack
 from .errors import EmptyData
@@ -147,7 +145,7 @@ def gas_sweep(
         raise ValueError("gas levels must be positive")
     cfg = cfg or PoolConfig()
     features = features or FeatureTrack(series)
-    gas_levels = sorted(gas_levels)
+    gas_levels = sorted(float(g) for g in gas_levels)
 
     rows = []
     curves: dict[str, list[tuple[float, float]]] = {}
@@ -218,40 +216,16 @@ def heatmap(
 
 
 def write_report_json(path, report: BacktestReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=2)
-
-
-def write_report_csv(path, reports) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "active_frac", "lambda", "rebalances", "fees", "gas", "net_roi"])
-        for r in reports:
-            writer.writerow(
-                [
-                    r.strategy,
-                    repr(r.active_fraction),
-                    repr(r.normalized_liquidity),
-                    r.rebalance_count,
-                    repr(r.total_fees),
-                    repr(r.total_gas),
-                    repr(r.net_roi),
-                ]
-            )
+    artifacts.write_json(path, report.to_json_dict())
 
 
 def write_gas_sweep_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gas", "strategy", "net_roi"])
-        for g, name, roi in rows:
-            writer.writerow([repr(float(g)), name, repr(float(roi))])
+    artifacts.write_csv(path, ["gas", "strategy", "net_roi"], rows)
 
 
 def write_heatmap_csv(path, grid: HeatmapGrid) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta", "d_edge", "q_diff"])
-        for i, th in enumerate(grid.theta_axis):
-            for j, de in enumerate(grid.d_edge_axis):
-                writer.writerow([repr(float(th)), repr(float(de)), repr(float(grid.q_diff[i, j]))])
+    n_theta, n_edge = grid.q_diff.shape
+    rows = artifacts.column_rows(
+        np.repeat(grid.theta_axis, n_edge), np.tile(grid.d_edge_axis, n_theta), grid.q_diff.ravel()
+    )
+    artifacts.write_csv(path, ["theta", "d_edge", "q_diff"], rows)

@@ -21,7 +21,7 @@ import numpy as np
 from . import agent as agent_mod
 from . import backtest as backtest_mod
 from . import config as config_mod
-from . import envsim, marketdata, neural, qvi, regime, strategies, synthpath
+from . import artifacts, envsim, marketdata, neural, qvi, regime, strategies, synthpath
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -78,13 +78,8 @@ def _segment(series, doc):
 
 def _write_manifest(out_dir, command, cfg_hash, seed, outputs):
     path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(
-            {"command": command, "config_hash": cfg_hash, "seed": seed, "outputs": sorted(outputs)},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+    doc = {"command": command, "config_hash": cfg_hash, "seed": seed, "outputs": sorted(outputs)}
+    artifacts.write_json(path, doc)
     return path
 
 
@@ -125,14 +120,10 @@ def cmd_estimate(args, doc, seed, cfg_hash, out_dir):
     series = _load_series(doc, seed)
     window = doc.get("estimate", {}).get("window", regime.DEFAULT_WINDOW)
     theta, mu, sigma, valid = regime.rolling_estimates(series.close, 1.0, window)
+    half_life = np.array([regime.half_life(th) if ok else math.inf for th, ok in zip(theta, valid)])
+    rows = artifacts.column_rows(series.t, theta, mu, sigma, half_life, valid.astype(int))
     out = os.path.join(out_dir, "regime.csv")
-    with open(out, "w", newline="") as fh:
-        fh.write("t,theta,mu,sigma,half_life,valid\n")
-        for i in range(len(series)):
-            hl = regime.half_life(float(theta[i])) if valid[i] else math.inf
-            fh.write(
-                f"{int(series.t[i])},{theta[i]!r},{mu[i]!r},{sigma[i]!r},{hl!r},{int(valid[i])}\n"
-            )
+    artifacts.write_csv(out, ["t", "theta", "mu", "sigma", "half_life", "valid"], rows)
     return [out]
 
 
@@ -195,8 +186,7 @@ def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
     sweep_path = os.path.join(out_dir, "gas_sweep.csv")
     backtest_mod.write_gas_sweep_csv(sweep_path, rows)
     be_path = os.path.join(out_dir, "break_even.json")
-    with open(be_path, "w") as fh:
-        json.dump({"config_hash": cfg_hash, "break_even_gas": break_evens}, fh, indent=2, sort_keys=True)
+    artifacts.write_json(be_path, {"config_hash": cfg_hash, "break_even_gas": break_evens})
     return [sweep_path, be_path]
 
 
@@ -220,20 +210,17 @@ def cmd_qvi(args, doc, seed, cfg_hash, out_dir):
     b_path = os.path.join(out_dir, "qvi_boundary.csv")
     qvi.write_boundary_csv(b_path, sol)
     meta_path = os.path.join(out_dir, "qvi_meta.json")
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {
-                "config_hash": cfg_hash,
-                "converged": sol.converged,
-                "iterations": sol.iterations,
-                "sup_change": sol.sup_change,
-                "fee_rate": problem.fee_rate(),
-                "cost": problem.cost_value(),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+    artifacts.write_json(
+        meta_path,
+        {
+            "config_hash": cfg_hash,
+            "converged": sol.converged,
+            "iterations": sol.iterations,
+            "sup_change": sol.sup_change,
+            "fee_rate": problem.fee_rate(),
+            "cost": problem.cost_value(),
+        },
+    )
     return [sol_path, b_path, meta_path]
 
 
@@ -244,7 +231,7 @@ def cmd_heatmap(args, doc, seed, cfg_hash, out_dir):
     series = _load_series(doc, seed)
     features = envsim.FeatureTrack(series)
     h = doc.get("heatmap", {})
-    theta_axis = np.linspace(h.get("theta_min", 0.0), h.get("theta_max", 0.1), h.get("theta_points", 41))
+    theta_axis = np.linspace(*config_mod.heatmap_theta_range(doc), h.get("theta_points", 41))
     d_edge_axis = np.linspace(-1.0, 1.0, h.get("d_edge_points", 41))
     pool = config_mod.pool_config(doc)
     ok = features.valid

@@ -187,6 +187,9 @@ class ConfigError(ValueError):
     pass
 
 
+HEATMAP_THETA_RANGE = (0.0, 0.1)  # (theta_min, theta_max) when the config omits them
+
+
 # Built once: jsonschema.validate re-checks SCHEMA against the metaschema
 # on every call, which costs far more than validating a config does. A
 # test checks SCHEMA instead.
@@ -200,6 +203,9 @@ def validate(doc: dict) -> dict:
     splits = doc.get("data", {}).get("splits")
     if splits is not None and abs(sum(splits) - 1.0) > 1e-9:
         raise ConfigError("data.splits must sum to 1")
+    theta_min, theta_max = heatmap_theta_range(doc)
+    if theta_min > theta_max:
+        raise ConfigError(f"heatmap.theta_min {theta_min} exceeds heatmap.theta_max {theta_max}")
     return doc
 
 
@@ -229,6 +235,11 @@ def reward_params(doc: dict) -> RewardParams:
 
 def train_config(doc: dict, seed: int) -> TrainConfig:
     return TrainConfig(**doc.get("train", {}), seed=seed)
+
+
+def heatmap_theta_range(doc: dict) -> tuple[float, float]:
+    h = doc.get("heatmap", {})
+    return h.get("theta_min", HEATMAP_THETA_RANGE[0]), h.get("theta_max", HEATMAP_THETA_RANGE[1])
 
 
 PROFILES = {

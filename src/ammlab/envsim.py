@@ -18,12 +18,11 @@ looked up per step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ammcore, regime
+from . import ammcore, artifacts, regime
 from .ammcore import PoolConfig, Position
 from .errors import DomainError, EpisodeFinished
 from .marketdata import BarSeries
@@ -136,10 +135,7 @@ def trace_row(series: BarSeries, features: FeatureTrack, k: int, pos: Position, 
 
 
 def write_trace_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        writer.writerows(rows)
+    artifacts.write_csv(path, TRACE_HEADER, rows)
 
 
 class LpEnv:
@@ -169,9 +165,6 @@ class LpEnv:
         self._steps = 0
         self._terminal = True
         self.trace: list = []
-
-    def reseed(self, seed: int) -> None:
-        self.rng = np.random.default_rng(seed)
 
     def max_start(self) -> int:
         return len(self.series) - 1 - self.episode_length

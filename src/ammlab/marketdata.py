@@ -8,12 +8,12 @@ forward with zero volume so the simulation clock is gap-free.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import artifacts
 from .errors import EmptyData, InsufficientData, UnsortedInput
 
 
@@ -176,29 +176,16 @@ BAR_HEADER = ["t", "open", "high", "low", "close", "volume"]
 
 
 def read_trades_csv(path) -> list[Trade]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRADE_HEADER:
-            raise ValueError(f"expected trade header {TRADE_HEADER}, got {header}")
-        return [Trade(int(row[0]), float(row[1]), float(row[2])) for row in reader]
+    rows = artifacts.read_csv(path, TRADE_HEADER)
+    return [Trade(int(row[0]), float(row[1]), float(row[2])) for row in rows]
 
 
 def write_trades_csv(path, trades: Iterable[Trade]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRADE_HEADER)
-        for tr in trades:
-            writer.writerow([tr.timestamp_ms, repr(tr.price), repr(tr.size)])
+    artifacts.write_csv(path, TRADE_HEADER, ((tr.timestamp_ms, tr.price, tr.size) for tr in trades))
 
 
 def read_bars_csv(path) -> BarSeries:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != BAR_HEADER:
-            raise ValueError(f"expected bar header {BAR_HEADER}, got {header}")
-        rows = [row for row in reader]
+    rows = list(artifacts.read_csv(path, BAR_HEADER))
     if not rows:
         raise EmptyData("bar file has no rows")
     arr = np.array(rows, dtype=np.float64)
@@ -216,17 +203,5 @@ def read_bars_csv(path) -> BarSeries:
 
 
 def write_bars_csv(path, series: BarSeries) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BAR_HEADER)
-        for i in range(len(series)):
-            writer.writerow(
-                [
-                    int(series.t[i]),
-                    repr(float(series.open[i])),
-                    repr(float(series.high[i])),
-                    repr(float(series.low[i])),
-                    repr(float(series.close[i])),
-                    repr(float(series.volume[i])),
-                ]
-            )
+    columns = (series.t, series.open, series.high, series.low, series.close, series.volume)
+    artifacts.write_csv(path, BAR_HEADER, artifacts.column_rows(*columns))

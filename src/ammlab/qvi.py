@@ -21,13 +21,12 @@ the grid must be wide enough that they sit far from the band.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ammcore
+from . import ammcore, artifacts
 from .ammcore import PoolConfig
 from .synthpath import OuParams
 
@@ -180,7 +179,8 @@ def _solve_obstacle(lower, diag, upper, F, psi, mask, max_policy_iters=100):
     """Exact LCP solve per slice: min(A V - F, V - psi) = 0 nodewise.
 
     `mask` is the warm-start active set (True = obstacle row); returns
-    (V, final mask). Active-set iteration on an M-matrix terminates.
+    (V, final mask, settled). Active-set iteration on an M-matrix
+    terminates; settled is False when max_policy_iters cut it short.
     """
     ones = np.ones_like(F)
     psi_col = np.broadcast_to(psi[:, None], F.shape)
@@ -194,9 +194,9 @@ def _solve_obstacle(lower, diag, upper, F, psi, mask, max_policy_iters=100):
         gap = V - psi_col
         new_mask = gap < residual
         if np.array_equal(new_mask, mask):
-            return V, mask
+            return V, mask, True
         mask = new_mask
-    return V, mask
+    return V, mask, False
 
 
 def _diagonal_values(V: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -217,7 +217,8 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
     c-slice against the obstacle psi(S) = V(S,S) - C from the previous
     iterate. Values increase monotonically toward the fixed point;
     convergence is declared when the sup-norm change drops below tol.
-    Hitting max_iters returns the last iterate flagged converged=False.
+    Hitting max_iters, or any inner obstacle solve stopping before its
+    active set settled, returns the last iterate flagged converged=False.
     """
     s, lower, diag, upper = _operator(problem)
     c = problem.c_grid.points()
@@ -235,15 +236,17 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
 
     sup_change = math.inf
     iterations = 0
+    all_settled = True
     for iterations in range(1, max_iters + 1):
         psi = _diagonal_values(V, s, c) - C
-        V_new, mask = _solve_obstacle(lower, diag, upper, F, psi, mask)
+        V_new, mask, settled = _solve_obstacle(lower, diag, upper, F, psi, mask)
+        all_settled &= settled
         sup_change = float(np.max(np.abs(V_new - V)))
         V = V_new
         if sup_change < tol:
             break
 
-    converged = sup_change < tol
+    converged = sup_change < tol and all_settled
     psi = _diagonal_values(V, s, c) - C
     label_tol = max(tol, 1e-9 * float(np.max(np.abs(V))) if V.size else tol)
     jump = (V - psi[:, None]) <= label_tol
@@ -295,25 +298,12 @@ def boundary_deviation(sol: QviSolution, c_value: float) -> tuple[float, float]:
 
 
 def write_solution_csv(path, sol: QviSolution) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["S", "c", "V", "region"])
-        for i, s_val in enumerate(sol.s):
-            for j, c_val in enumerate(sol.c):
-                writer.writerow(
-                    [
-                        repr(float(s_val)),
-                        repr(float(c_val)),
-                        repr(float(sol.V[i, j])),
-                        "jump" if sol.jump[i, j] else "continuation",
-                    ]
-                )
+    n_s, n_c = sol.V.shape
+    nodes = artifacts.column_rows(np.repeat(sol.s, n_c), np.tile(sol.c, n_s), sol.V.ravel(), sol.jump.ravel())
+    rows = ((s_val, c_val, v, "jump" if jump else "continuation") for s_val, c_val, v, jump in nodes)
+    artifacts.write_csv(path, ["S", "c", "V", "region"], rows)
 
 
 def write_boundary_csv(path, sol: QviSolution) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["c", "lower_dev", "upper_dev"])
-        for c_val in sol.c:
-            lo, hi = boundary_deviation(sol, float(c_val))
-            writer.writerow([repr(float(c_val)), repr(lo), repr(hi)])
+    rows = ((c_val, *boundary_deviation(sol, c_val)) for c_val in sol.c.tolist())
+    artifacts.write_csv(path, ["c", "lower_dev", "upper_dev"], rows)

@@ -269,14 +269,6 @@ class TestReports:
         assert doc["config_hash"] == "abc123"
         assert set(doc["metrics"]) == {"active_frac", "lambda", "rebalances", "fees", "gas", "net_roi"}
 
-    def test_csv_export(self, tmp_path):
-        r1, _ = bt.run(st.Lancelot(), wandering_series(6, n=200), POOL)
-        r2, _ = bt.run(st.Bedivere(), wandering_series(6, n=200), POOL)
-        path = tmp_path / "reports.csv"
-        bt.write_report_csv(path, [r1, r2])
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3
-
     def test_gas_sweep_csv(self, tmp_path):
         rows = [(1.0, "lancelot", 0.01), (2.0, "lancelot", 0.005)]
         path = tmp_path / "sweep.csv"

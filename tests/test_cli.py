@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ammlab import cli, config as config_mod
+from ammlab import cli, config as config_mod, neural
+from ammlab.agent import Q_NET_DIMS
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -80,6 +81,15 @@ class TestValidation:
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds", [{"theta_min": 0.1, "theta_max": 0.0}, {"theta_min": 0.2}])
+    def test_heatmap_theta_min_above_max_exits_one(self, tmp_path, bounds):
+        ckpt = tmp_path / "checkpoint.json"
+        neural.save_checkpoint(ckpt, neural.Mlp(Q_NET_DIMS, seed=0))
+        cfg = write_config(tmp_path, base_config(heatmap={**bounds, "theta_points": 3, "d_edge_points": 3}))
+        out = tmp_path / "hm"
+        assert cli.main(["heatmap", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 1
+        assert not (out / "heatmap.csv").exists()
+
     def test_pool_bounds_match_pool_config(self):
         doc = config_mod.validate(base_config(pool={"dex_cex_ratio": 1.0, "width": 0.999, "fee_tier": 0.999}))
         assert config_mod.pool_config(doc).dex_cex_ratio == 1.0
@@ -100,6 +110,16 @@ class TestPipeline:
         rows = (out2 / "regime.csv").read_text().splitlines()
         assert len(rows) == 801
         assert rows[0] == "t,theta,mu,sigma,half_life,valid"
+
+    def test_estimate_writes_plain_numbers(self, tmp_path):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "est"
+        assert cli.main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "regime.csv", newline="") as fh:
+            cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
+        assert not [cell for cell in cells if "np." in cell]
+        for cell in cells:
+            float(cell)
 
     def test_ingest(self, tmp_path):
         trades = tmp_path / "trades.csv"

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -120,6 +121,17 @@ class TestGridRefinement:
         lo_f, _ = qvi.boundary_deviation(qvi.solve(fine), 103.0)
         drift_price_units = abs(lo_c - lo_f) * 103.0
         assert drift_price_units < coarse.s_grid.step
+
+
+class TestConvergenceReport:
+    def test_capped_inner_solve_is_not_converged(self, monkeypatch):
+        # one policy step leaves the warm-start active set unchanged, so the
+        # outer sup change is 0 although no obstacle solve settled
+        capped = functools.partial(qvi._solve_obstacle, max_policy_iters=1)
+        monkeypatch.setattr(qvi, "_solve_obstacle", capped)
+        problem = qvi.QviProblem.default(OU_REF, POOL, n_s=80, n_c=10)
+        sol = qvi.solve(problem, max_iters=50)
+        assert sol.converged is False
 
 
 class TestProblemValidation:
