@@ -4,7 +4,8 @@ Every command takes a JSON run config (validated against the published
 schema before any work), an output directory, and a seed; all randomness
 flows from that seed. Each run writes a manifest.json recording the
 command, the config hash, and the artifacts produced, so any output can
-be traced back to the exact configuration that made it.
+be traced back to the exact configuration that made it; the manifest
+also records the run's wall time, peak RSS, versions and thread settings.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import dataclasses
 import json
 import math
 import os
+import platform
+import resource
 import sys
+import time
 
 import numpy as np
 
@@ -22,6 +26,10 @@ from . import agent as agent_mod
 from . import backtest as backtest_mod
 from . import config as config_mod
 from . import artifacts, envsim, marketdata, neural, qvi, regime, strategies, synthpath
+
+# BLAS and OpenMP thread counts, which set the speed of every matmul
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -76,9 +84,24 @@ def _segment(series, doc):
     return {"train": train, "val": val, "test": test}[name]
 
 
-def _write_manifest(out_dir, command, cfg_hash, seed, outputs):
+def _write_manifest(out_dir, command, cfg_hash, seed, outputs, started):
+    """Write manifest.json: what ran, what it wrote, and where the time went.
+
+    ``started`` is the ``perf_counter`` reading at ``main`` entry. Peak RSS
+    is the whole process's, in MB (``ru_maxrss`` is in KiB on Linux).
+    """
     path = os.path.join(out_dir, "manifest.json")
-    doc = {"command": command, "config_hash": cfg_hash, "seed": seed, "outputs": sorted(outputs)}
+    doc = {
+        "command": command,
+        "config_hash": cfg_hash,
+        "seed": seed,
+        "outputs": sorted(outputs),
+        "wall_s": time.perf_counter() - started,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "thread_env": {var: os.environ.get(var, "unset") for var in _THREAD_ENV},
+    }
     artifacts.write_json(path, doc)
     return path
 
@@ -262,6 +285,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -280,7 +304,7 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)
         cfg_hash = config_mod.config_hash(doc)
         outputs = _COMMANDS[args.command](args, doc, seed, cfg_hash, args.out)
-        outputs.append(_write_manifest(args.out, args.command, cfg_hash, seed, outputs))
+        outputs.append(_write_manifest(args.out, args.command, cfg_hash, seed, outputs, started))
         return 0
     except config_mod.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -209,9 +209,15 @@ def validate(doc: dict) -> dict:
     return doc
 
 
+def _reject_constant(token):
+    # json accepts NaN and +-Infinity, which compare false against every
+    # schema bound and would pass validation
+    raise ConfigError(f"invalid config: {token} is not a JSON number")
+
+
 def load(path) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_reject_constant)
     return validate(doc)
 
 

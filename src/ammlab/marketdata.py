@@ -25,16 +25,6 @@ class Trade:
 
 
 @dataclass(frozen=True)
-class Bar:
-    t: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-
-@dataclass(frozen=True)
 class BarSeries:
     """Column-oriented bar storage with consecutive, gap-free seconds.
 
@@ -53,16 +43,6 @@ class BarSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def bar(self, i: int) -> Bar:
-        return Bar(
-            t=int(self.t[i]),
-            open=float(self.open[i]),
-            high=float(self.high[i]),
-            low=float(self.low[i]),
-            close=float(self.close[i]),
-            volume=float(self.volume[i]),
-        )
-
     def slice(self, start: int, stop: int) -> "BarSeries":
         return BarSeries(
             t=self.t[start:stop],
@@ -78,18 +58,6 @@ class BarSeries:
             raise InsufficientData("series has no split marks; call split() first")
         i, j = self.split_marks
         return self.slice(0, i), self.slice(i, j), self.slice(j, len(self))
-
-
-def series_from_bars(bars: Sequence[Bar], split_marks: tuple[int, int] | None = None) -> BarSeries:
-    return BarSeries(
-        t=np.array([b.t for b in bars], dtype=np.int64),
-        open=np.array([b.open for b in bars], dtype=np.float64),
-        high=np.array([b.high for b in bars], dtype=np.float64),
-        low=np.array([b.low for b in bars], dtype=np.float64),
-        close=np.array([b.close for b in bars], dtype=np.float64),
-        volume=np.array([b.volume for b in bars], dtype=np.float64),
-        split_marks=split_marks,
-    )
 
 
 def aggregate(trades: Sequence[Trade]) -> BarSeries:

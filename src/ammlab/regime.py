@@ -1,4 +1,4 @@
-"""Rolling OU parameter estimation and first-passage return probability.
+"""Rolling OU parameter estimation.
 
 The estimator regresses one-second price changes on price levels,
 
@@ -17,18 +17,17 @@ estimates are insensitive to the absolute price level.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import DegenerateDiffusion, DomainError, WindowTooShort
+from .errors import DomainError, WindowTooShort
 
 DEFAULT_WINDOW = 1800
 _MIN_REGRESSOR_VAR = 1e-12
-# running sums are rebuilt from the raw window this often to stop float drift
-_RESYNC_INTERVAL = 65536
+# rolling entries whose estimated rounding error exceeds this relative
+# size are refit directly; the differential test allows 1e-6
+_REFIT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -53,31 +52,6 @@ def half_life(theta: float) -> float:
 
 def _fallback(current_price: float) -> RegimeEstimate:
     return RegimeEstimate(theta=0.0, mu=float(current_price), sigma=0.0, valid=False)
-
-
-def _from_sums(n, sx, sy, sxx, sxy, syy, offset, last_price, dt) -> RegimeEstimate:
-    """Build an estimate from pair sums over offset prices."""
-    if n < 2:
-        return _fallback(last_price)
-    mean_x = sx / n
-    mean_y = sy / n
-    var_x = sxx / n - mean_x * mean_x
-    if var_x <= _MIN_REGRESSOR_VAR:
-        return _fallback(last_price)
-    cov_xy = sxy / n - mean_x * mean_y
-    beta = cov_xy / var_x
-    if beta >= 0.0:
-        return _fallback(last_price)
-    alpha = mean_y - beta * mean_x
-    theta = min(max(-beta / dt, 0.0), 1.0)
-    mu = offset - alpha / beta
-    # residual variance via the OLS identity  SSE/n = var_y - beta^2 var_x
-    var_y = syy / n - mean_y * mean_y
-    resid_var = max(var_y - beta * beta * var_x, 0.0)
-    sigma = math.sqrt(resid_var) / math.sqrt(dt)
-    if not (math.isfinite(mu) and math.isfinite(sigma)):
-        return _fallback(last_price)
-    return RegimeEstimate(theta=theta, mu=mu, sigma=sigma, valid=True)
 
 
 def estimate(prices, dt: float = 1.0) -> RegimeEstimate:
@@ -110,89 +84,17 @@ def estimate(prices, dt: float = 1.0) -> RegimeEstimate:
     return RegimeEstimate(theta=theta, mu=mu, sigma=sigma, valid=True)
 
 
-class RollingOuEstimator:
-    """Streaming estimator over a sliding window with O(1) updates.
-
-    Push one price per second; each push returns the estimate for the
-    window ending at that price. Windows still filling up are estimated
-    from the prices available so far (minimum 3).
-    """
-
-    def __init__(self, window: int = DEFAULT_WINDOW, dt: float = 1.0):
-        if window < 3:
-            raise WindowTooShort("window must be >= 3")
-        if dt <= 0:
-            raise ValueError("dt must be > 0")
-        self.window = window
-        self.dt = dt
-        self._prices: deque[float] = deque(maxlen=window)
-        self._offset: float | None = None
-        self._n = 0
-        self._sx = self._sy = self._sxx = self._sxy = self._syy = 0.0
-        self._pushes = 0
-
-    def _add_pair(self, x: float, y: float, sign: float) -> None:
-        self._n += int(sign)
-        self._sx += sign * x
-        self._sy += sign * y
-        self._sxx += sign * x * x
-        self._sxy += sign * x * y
-        self._syy += sign * y * y
-
-    def _resync(self) -> None:
-        p = np.array(self._prices) - self._offset
-        x = p[:-1]
-        y = np.diff(p)
-        self._n = len(x)
-        self._sx = float(np.sum(x))
-        self._sy = float(np.sum(y))
-        self._sxx = float(np.sum(x * x))
-        self._sxy = float(np.sum(x * y))
-        self._syy = float(np.sum(y * y))
-
-    def push(self, price: float) -> RegimeEstimate:
-        if self._offset is None:
-            self._offset = float(price)
-        price = float(price)
-        if len(self._prices) == self._prices.maxlen:
-            # evicting the oldest price drops the oldest pair
-            old_x = self._prices[0] - self._offset
-            old_y = self._prices[1] - self._offset - old_x
-            self._add_pair(old_x, old_y, -1.0)
-        if self._prices:
-            prev = self._prices[-1] - self._offset
-            self._add_pair(prev, price - self._offset - prev, +1.0)
-        self._prices.append(price)
-
-        self._pushes += 1
-        if self._pushes % _RESYNC_INTERVAL == 0:
-            self._resync()
-
-        return self.current()
-
-    def current(self) -> RegimeEstimate:
-        if len(self._prices) < 3:
-            last = self._prices[-1] if self._prices else math.nan
-            return _fallback(last)
-        return _from_sums(
-            self._n,
-            self._sx,
-            self._sy,
-            self._sxx,
-            self._sxy,
-            self._syy,
-            self._offset,
-            self._prices[-1],
-            self.dt,
-        )
-
-
 def rolling_estimates(closes: np.ndarray, dt: float = 1.0, window: int = DEFAULT_WINDOW):
-    """Vectorized per-bar estimates equivalent to pushing closes in order.
+    """Per-bar estimates from running sums, one window per close.
 
-    Returns (theta, mu, sigma, valid) arrays, one entry per close. Entries
-    before three prices have accumulated are invalid fallbacks.
+    Entry i agrees with ``estimate`` on closes[max(0, i - window + 1) : i + 1]
+    to about ``_REFIT_TOL``: theta and mu relatively, sigma against the
+    standard deviation of the price changes. Returns (theta, mu, sigma, valid)
+    arrays, one entry per close. Entries before three prices have
+    accumulated are invalid fallbacks.
     """
+    if window < 3:
+        raise WindowTooShort("window must be >= 3")
     closes = np.asarray(closes, dtype=np.float64)
     n_bars = len(closes)
     theta = np.zeros(n_bars)
@@ -241,38 +143,29 @@ def rolling_estimates(closes: np.ndarray, dt: float = 1.0, window: int = DEFAULT
         theta_hat = np.clip(-beta / dt, 0.0, 1.0)
         ok &= np.isfinite(mu_hat) & np.isfinite(sigma_hat)
 
+        # A windowed sum is a difference of prefix sums, so its rounding
+        # error scales with the prefix, not the window. Tiny windows late
+        # in a long path and near-exact fits (where the square root
+        # magnifies the residual variance's error) lose most digits.
+        # Entries whose first-order error estimate is too large are refit.
+        eps = np.finfo(np.float64).eps
+        err_xx = eps * cxx[hi] / cnt
+        err_yy = eps * cyy[hi] / cnt
+        err_beta = (np.sqrt(err_xx * err_yy) + np.abs(beta) * err_xx) / np.abs(var_x)
+        err_mu = (np.sqrt(eps * hi * err_yy / cnt) + np.abs(mean_y) * err_beta / np.abs(beta)) / np.abs(beta)
+        err_res = err_yy + beta**2 * err_xx
+        err_sigma = np.minimum(np.sqrt(err_res), err_res / (2.0 * np.sqrt(resid_var)))
+        refit = (cnt >= 2) & (
+            (err_beta > _REFIT_TOL * np.abs(beta))
+            | (err_mu > _REFIT_TOL * np.abs(mu_hat))
+            | (err_sigma > _REFIT_TOL * np.std(y))
+        )
+
     theta[ok] = theta_hat[ok]
     mu[ok] = mu_hat[ok]
     sigma[ok] = sigma_hat[ok]
     valid[ok] = True
+    for i in np.flatnonzero(refit):
+        est = estimate(closes[lo[i] : i + 1], dt)
+        theta[i], mu[i], sigma[i], valid[i] = est.theta, est.mu, est.sigma, est.valid
     return theta, mu, sigma, valid
-
-
-def p_return(s: float, mu: float, L: float, theta: float, sigma: float) -> float:
-    """Probability the process reaches mu before the outer barrier L.
-
-    Computed as the ratio of scale-function integrals
-
-        P = int_L^s exp(theta (y-mu)^2 / sigma^2) dy
-            / int_L^mu exp(theta (y-mu)^2 / sigma^2) dy
-
-    by adaptive quadrature. s must lie between L and mu (either ordering).
-    """
-    if sigma == 0.0:
-        raise DegenerateDiffusion("sigma must be > 0")
-    if sigma < 0 or theta < 0:
-        raise DomainError("sigma and theta must be non-negative")
-    lo, hi = min(L, mu), max(L, mu)
-    if not (lo <= s <= hi):
-        raise DomainError(f"s={s} must lie between L={L} and mu={mu}")
-
-    # scale by the largest exponent (attained at the barrier) so the
-    # integrand stays in (0, 1]; the factor cancels in the ratio
-    peak = theta * (L - mu) ** 2 / sigma**2
-
-    def integrand(y):
-        return math.exp(theta * (y - mu) ** 2 / sigma**2 - peak)
-
-    num, _ = quad(integrand, L, s, epsrel=1e-8, limit=200)
-    den, _ = quad(integrand, L, mu, epsrel=1e-8, limit=200)
-    return min(max(num / den, 0.0), 1.0)

@@ -18,8 +18,9 @@ POOL = PoolConfig()
 
 
 def series_from_closes(closes, volume=1000.0):
-    bars = [marketdata.Bar(i, c, c, c, c, volume) for i, c in enumerate(closes)]
-    return marketdata.series_from_bars(bars)
+    c = np.array(closes, dtype=np.float64)
+    t = np.arange(len(c), dtype=np.int64)
+    return marketdata.BarSeries(t=t, open=c, high=c, low=c, close=c, volume=np.full(len(c), float(volume)))
 
 
 def wandering_series(seed=0, n=2000, vol=1000.0):

@@ -1,9 +1,16 @@
+import copy
 import csv
 import filecmp
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -89,6 +96,14 @@ class TestValidation:
         out = tmp_path / "hm"
         assert cli.main(["heatmap", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 1
         assert not (out / "heatmap.csv").exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_exits_one(self, tmp_path, token):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(pool={"gas_cost": "GAS"})).replace('"GAS"', token))
+        out = tmp_path / "bt"
+        assert cli.main(["backtest", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_pool_bounds_match_pool_config(self):
         doc = config_mod.validate(base_config(pool={"dex_cex_ratio": 1.0, "width": 0.999, "fee_tier": 0.999}))
@@ -274,6 +289,84 @@ class TestTrainingBounds:
         assert not out.exists()
 
 
+def _schema_at(path):
+    node = config_mod.SCHEMA
+    for key in path:
+        node = node["items"] if isinstance(key, int) else node["properties"][key]
+    return node
+
+
+def _nodes(doc, path=()):
+    """(path, value) of every node of a JSON document, parents first."""
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+SMOKE = json.loads((Path(__file__).parent.parent / "configs" / "smoke.json").read_text())
+_LEAVES = [path for path, value in _nodes(SMOKE) if not isinstance(value, (dict, list))]
+_OBJECTS = [path for path, value in _nodes(SMOKE) if isinstance(value, dict)]
+# NaN and +-inf are written as bare JSON tokens; NaN passes every schema bound
+_ALWAYS_BAD = hst.sampled_from(["text", None, True, [1.0], {"k": 1}, math.nan, math.inf, -math.inf])
+
+
+def _out_of_schema(path):
+    """Values that break the schema of the leaf at ``path``."""
+    node = _schema_at(path)
+    bad = [_ALWAYS_BAD]
+    finite = {"allow_nan": False, "allow_infinity": False}
+    if "enum" in node:
+        bad.append(hst.text(min_size=1).filter(lambda v: v not in node["enum"]))
+    if "minimum" in node:
+        bad.append(hst.floats(max_value=node["minimum"], exclude_max=True, **finite))
+    if "exclusiveMinimum" in node:
+        bad.append(hst.floats(max_value=node["exclusiveMinimum"], **finite))
+    if "maximum" in node:
+        bad.append(hst.floats(min_value=node["maximum"], exclude_min=True, **finite))
+    if "exclusiveMaximum" in node:
+        bad.append(hst.floats(min_value=node["exclusiveMaximum"], **finite))
+    return hst.tuples(hst.just(path), hst.one_of(bad))
+
+
+_BAD_LEAF = hst.one_of(
+    hst.sampled_from(_LEAVES).flatmap(_out_of_schema),
+    hst.tuples(hst.sampled_from(_OBJECTS).map(lambda path: path + ("bogus_key",)), hst.just(1)),
+)
+
+
+class TestConfigFuzz:
+    """One leaf of configs/smoke.json broken against the schema: exit 1, nothing written."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_BAD_LEAF)
+    def test_out_of_schema_leaf_exits_one(self, tmp_path_factory, bad):
+        path, value = bad
+        doc = copy.deepcopy(SMOKE)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        tmp = tmp_path_factory.mktemp("fuzz")
+        cfg = write_config(tmp, doc)
+        for command in ("backtest", "qvi"):
+            out = tmp / command
+            assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1, (command, path, value)
+            assert not out.exists()
+
+    def test_smoke_config_is_valid(self):
+        config_mod.validate(copy.deepcopy(SMOKE))
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, ammlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 class TestDeterminism:
     def test_train_twice_byte_identical(self, tmp_path):
         doc = base_config(
@@ -296,7 +389,9 @@ class TestDeterminism:
         assert cli.main(["train", "--config", cfg, "--out", str(out_b), "--seed", "2"]) == 0
         assert not filecmp.cmp(out_a / "checkpoint.json", out_b / "checkpoint.json", shallow=False)
 
-    def test_manifest_records_config_hash(self, tmp_path):
+    def test_manifest_records_config_hash(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         doc = base_config()
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "m"
@@ -304,6 +399,15 @@ class TestDeterminism:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config_hash"] == config_mod.config_hash(doc)
         assert manifest["command"] == "synth"
+        assert 0.0 < manifest["wall_s"] < 60.0
+        assert manifest["peak_rss_mb"] > 1.0
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+        threads = manifest["thread_env"]
+        assert set(threads) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert threads["OMP_NUM_THREADS"] == "3"
+        assert threads["MKL_NUM_THREADS"] == "unset"
+        assert threads["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS", "unset")
 
     def test_profile_overrides_train_section(self, tmp_path):
         doc = config_mod.apply_profile(base_config(), "smoke")

@@ -11,13 +11,13 @@ REWARD = envsim.RewardParams()  # scale 100, bonus 1e-4
 
 
 def flat_series(n=50, price=100.0, volume=0.0):
-    bars = [marketdata.Bar(i, price, price, price, price, volume) for i in range(n)]
-    return marketdata.series_from_bars(bars)
+    return series_from_closes(np.full(n, price), volume)
 
 
 def series_from_closes(closes, volume=0.0):
-    bars = [marketdata.Bar(i, c, c, c, c, volume) for i, c in enumerate(closes)]
-    return marketdata.series_from_bars(bars)
+    c = np.array(closes, dtype=np.float64)
+    t = np.arange(len(c), dtype=np.int64)
+    return marketdata.BarSeries(t=t, open=c, high=c, low=c, close=c, volume=np.full(len(c), float(volume)))
 
 
 def valid_estimate(theta=0.05, mu=100.0, sigma=0.5):

@@ -9,25 +9,27 @@ def trades(*rows):
     return [md.Trade(int(t * 1000), p, s) for t, p, s in rows]
 
 
+def bar_at(series, i):
+    """(t, open, high, low, close) of bar i."""
+    return tuple(getattr(series, col)[i] for col in ("t", "open", "high", "low", "close"))
+
+
 class TestAggregate:
     def test_two_trades_one_second(self):
         series = md.aggregate(trades((5, 100.0, 1.0), (5.4, 102.0, 1.0)))
-        bar = series.bar(0)
-        assert (bar.t, bar.open, bar.high, bar.low, bar.close) == (5, 100.0, 102.0, 100.0, 102.0)
-        assert bar.volume == pytest.approx(202.0)
+        assert bar_at(series, 0) == (5, 100.0, 102.0, 100.0, 102.0)
+        assert series.volume[0] == pytest.approx(202.0)
 
     def test_single_trade_degenerate_bar(self):
-        bar = md.aggregate(trades((7, 50.0, 2.5))).bar(0)
-        assert bar.open == bar.high == bar.low == bar.close == 50.0
-        assert bar.volume == pytest.approx(125.0)
+        series = md.aggregate(trades((7, 50.0, 2.5)))
+        assert bar_at(series, 0) == (7, 50.0, 50.0, 50.0, 50.0)
+        assert series.volume[0] == pytest.approx(125.0)
 
     def test_gap_fill_carries_close(self):
         series = md.aggregate(trades((5, 100.0, 1.0), (5.9, 101.0, 1.0), (7, 99.0, 1.0)))
         assert len(series) == 3
-        gap = series.bar(1)
-        assert gap.t == 6
-        assert gap.volume == 0.0
-        assert gap.open == gap.high == gap.low == gap.close == 101.0
+        assert bar_at(series, 1) == (6, 101.0, 101.0, 101.0, 101.0)
+        assert series.volume[1] == 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyData):
