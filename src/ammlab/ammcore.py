@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, InconsistentDeposit
 
 
 @dataclass(frozen=True)
@@ -170,3 +170,30 @@ def net_roi(pos: Position) -> float:
 
 def active_fraction(pos: Position) -> float:
     return pos.active_seconds / max(pos.total_seconds, 1)
+
+
+def virtual_liquidity(
+    p: float,
+    p_a: float,
+    p_b: float,
+    dx: float | None = None,
+    dy: float | None = None,
+    rel_tol: float = 1e-6,
+) -> float:
+    """Uniswap-style virtual liquidity of a deposit into range (p_a, p_b).
+
+    L = dx / (1/sqrt(p) - 1/sqrt(p_b)) = dy / (sqrt(p) - sqrt(p_a)).
+    Either token amount may be omitted; when both are given they must
+    agree on L within rel_tol.
+    """
+    if not p_a < p < p_b:
+        raise DomainError(f"price {p} must lie strictly inside ({p_a}, {p_b})")
+    if dx is None and dy is None:
+        raise DomainError("at least one of dx, dy is required")
+    l_x = dx / (1.0 / math.sqrt(p) - 1.0 / math.sqrt(p_b)) if dx is not None else None
+    l_y = dy / (math.sqrt(p) - math.sqrt(p_a)) if dy is not None else None
+    if l_x is not None and l_y is not None:
+        if abs(l_x - l_y) > rel_tol * max(abs(l_x), abs(l_y)):
+            raise InconsistentDeposit(f"dx implies L={l_x}, dy implies L={l_y}")
+        return 0.5 * (l_x + l_y)
+    return l_x if l_x is not None else l_y

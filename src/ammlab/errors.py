@@ -25,6 +25,10 @@ class DomainError(AmmLabError):
     """An argument lies outside the mathematically valid domain."""
 
 
+class InconsistentDeposit(AmmLabError):
+    """Deposited token amounts imply conflicting liquidity values."""
+
+
 class EpisodeFinished(AmmLabError):
     """step() was called on a terminal episode."""
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ammlab import ammcore as ac
-from ammlab.errors import DomainError
+from ammlab.errors import DomainError, InconsistentDeposit
 
 CFG = ac.PoolConfig()  # fee 5 bps, gas $2, TVL 500k, ratio 0.10, width 20 bps
 
@@ -185,6 +185,40 @@ class TestNetRoi:
         pos.accrued_fees = 34.87
         pos.accrued_gas = 4.50
         assert ac.net_roi(pos) == pytest.approx(0.003037, abs=1e-6)
+
+
+class TestVirtualLiquidity:
+    def test_quote_only_deposit(self):
+        # evaluating L = dy / (sqrt(p) - sqrt(p_a)) directly
+        expected = 1.0 / (1.0 - np.sqrt(0.998))
+        assert ac.virtual_liquidity(1.0, 0.998, 1.002, dy=1.0) == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(999.4997, abs=1e-3)
+
+    def test_near_upper_limit(self):
+        # as p -> p_b the base-token branch vanishes and dy fixes L
+        p_a, p_b, dy = 0.998, 1.002, 1.0
+        lim = dy / (np.sqrt(p_b) - np.sqrt(p_a))
+        val = ac.virtual_liquidity(p_b - 1e-9, p_a, p_b, dy=dy)
+        assert val == pytest.approx(lim, rel=1e-6)
+
+    def test_branches_agree(self):
+        p, p_a, p_b = 1.0, 0.998, 1.002
+        l_ref = 1234.5
+        dx = l_ref * (1 / np.sqrt(p) - 1 / np.sqrt(p_b))
+        dy = l_ref * (np.sqrt(p) - np.sqrt(p_a))
+        assert ac.virtual_liquidity(p, p_a, p_b, dx=dx, dy=dy) == pytest.approx(l_ref, rel=1e-9)
+
+    def test_price_outside_range(self):
+        with pytest.raises(DomainError):
+            ac.virtual_liquidity(1.01, 0.998, 1.002, dy=1.0)
+
+    def test_inconsistent_deposit(self):
+        with pytest.raises(InconsistentDeposit):
+            ac.virtual_liquidity(1.0, 0.998, 1.002, dx=1.0, dy=1.0)
+
+    def test_requires_an_amount(self):
+        with pytest.raises(DomainError):
+            ac.virtual_liquidity(1.0, 0.998, 1.002)
 
 
 class TestPoolConfig:
