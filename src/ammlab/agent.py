@@ -140,7 +140,11 @@ class DdqnAgent:
         self.online = Mlp(Q_NET_DIMS, rng=rng)
         self.target = neural.clone(self.online)
         self.opt = neural.AdamState.for_net(self.online, learning_rate=config.learning_rate)
-        self.buffer = ReplayBuffer(config.buffer_capacity)
+        # a run pushes at most episodes * episode_length transitions, so a
+        # larger ring never wraps; sizing it to the run gives the same samples
+        # without a mostly idle allocation whose residency is up to malloc
+        pushes = config.episodes * config.episode_length
+        self.buffer = ReplayBuffer(min(config.buffer_capacity, pushes))
         self.updates = 0
 
     def train_step(self, batch=None) -> float:

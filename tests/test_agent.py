@@ -247,6 +247,23 @@ class TestTrainLoop:
             if k != 29:
                 assert np.array_equal(buf.states[k + 1], buf.next_states[k]), k
 
+    def test_buffer_sized_to_the_run(self, monkeypatch):
+        # a ring larger than the run's 60 pushes never wraps, so cutting it to
+        # the run changes no sample: logs and nets match the configured ring
+        cfg = ag.TrainConfig(episodes=2, episode_length=30, batch_size=8, seed=5)
+        agent, log = ag.train(tiny_env(), cfg)
+        assert agent.buffer.capacity == 60
+        configured = ag.ReplayBuffer
+        monkeypatch.setattr(ag, "ReplayBuffer", lambda capacity: configured(cfg.buffer_capacity))
+        wide, wide_log = ag.train(tiny_env(), cfg)
+        assert wide.buffer.capacity == cfg.buffer_capacity and wide_log == log
+        assert all(np.array_equal(a, b) for a, b in zip(agent.online.weights, wide.online.weights))
+        monkeypatch.undo()
+        # a ring smaller than the run keeps its configured size and wraps
+        small_cfg = ag.TrainConfig(episodes=2, episode_length=30, batch_size=8, seed=5, buffer_capacity=50)
+        small = ag.train(tiny_env(), small_cfg)[0].buffer
+        assert small.capacity == 50 and len(small) == 50
+
     def test_log_row_shape(self):
         env = tiny_env()
         cfg = ag.TrainConfig(episodes=3, episode_length=30, batch_size=8, seed=5)
