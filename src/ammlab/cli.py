@@ -122,8 +122,7 @@ def cmd_ingest(args, doc, seed, cfg_hash, out_dir):
     trades_path = doc.get("data", {}).get("trades_csv")
     if trades_path is None:
         raise config_mod.ConfigError("ingest needs data.trades_csv")
-    trades = marketdata.read_trades_csv(trades_path)
-    series = marketdata.aggregate(trades)
+    series = marketdata.aggregate(*marketdata.read_trades_csv(trades_path))
     splits = doc.get("data", {}).get("splits")
     if splits:
         series = marketdata.split(series, tuple(splits))

@@ -10,7 +10,7 @@ class EmptyData(AmmLabError):
 
 
 class UnsortedInput(AmmLabError):
-    """Trade timestamps are not non-decreasing."""
+    """Rows out of order: trade timestamps decrease or bar seconds are not consecutive."""
 
 
 class InsufficientData(AmmLabError):

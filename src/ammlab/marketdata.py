@@ -1,27 +1,22 @@
-"""Trade ingestion, 1 Hz bar aggregation, and chronological splits.
+"""Ingestion of trades, 1 Hz bar aggregation, and chronological splits.
 
-Raw trades are aggregated into one OHLCV bar per second. Volume is
-quote-denominated (price * size) because downstream fee accrual scales
-with notional volume. Seconds without trades carry the previous close
-forward with zero volume so the simulation clock is gap-free.
+Trades stay three numpy columns, ``(timestamp_ms, price, size)``, from the
+CSV reader to ``aggregate``, which turns them into one OHLCV bar per
+second. Volume is quote-denominated (price * size) because downstream fee
+accrual scales with notional volume. Seconds without trades carry the
+previous close forward with zero volume so the simulation clock is
+gap-free. Both readers and ``aggregate`` reject prices that are not finite
+and positive and sizes or volumes that are not finite and non-negative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import artifacts
-from .errors import EmptyData, InsufficientData, UnsortedInput
-
-
-@dataclass(frozen=True)
-class Trade:
-    timestamp_ms: int
-    price: float
-    size: float
+from .errors import DomainError, EmptyData, InsufficientData, UnsortedInput
 
 
 @dataclass(frozen=True)
@@ -60,67 +55,62 @@ class BarSeries:
         return self.slice(0, i), self.slice(i, j), self.slice(j, len(self))
 
 
-def aggregate(trades: Sequence[Trade]) -> BarSeries:
-    """Aggregate trades into gap-free 1 Hz OHLCV bars.
+def _check_domain(kind, positive, nonnegative) -> None:
+    """Raise ``DomainError`` at the first row where a ``positive`` column is
+    not finite and > 0 or a ``nonnegative`` column not finite and >= 0."""
+    ok = np.logical_and.reduce(
+        [(col > 0) & (col < np.inf) for col in positive.values()]
+        + [(col >= 0) & (col < np.inf) for col in nonnegative.values()]
+    )
+    if not ok.all():
+        i = int(np.argmin(ok))
+        cells = ", ".join(f"{name}={col[i]}" for name, col in {**positive, **nonnegative}.items())
+        raise DomainError(
+            f"{kind} row {i} ({cells}): {'/'.join(positive)} must be finite and > 0, "
+            f"{'/'.join(nonnegative)} finite and >= 0"
+        )
+
+
+def aggregate(ts_ms: np.ndarray, price: np.ndarray, size: np.ndarray) -> BarSeries:
+    """Aggregate int64 ``ts_ms`` and float64 ``price`` and ``size`` trade
+    columns into gap-free 1 Hz OHLCV bars.
 
     One bar per second from the first to the last trade second. A bar's
     volume is the sum of price*size over its trades; tradeless seconds get
     o=h=l=c equal to the previous close and volume 0.
     """
-    if len(trades) == 0:
+    if len(ts_ms) == 0:
         raise EmptyData("no trades to aggregate")
-
-    ts_ms = np.array([tr.timestamp_ms for tr in trades], dtype=np.int64)
     if np.any(np.diff(ts_ms) < 0):
         raise UnsortedInput("trade timestamps must be non-decreasing")
-    price = np.array([tr.price for tr in trades], dtype=np.float64)
-    size = np.array([tr.size for tr in trades], dtype=np.float64)
+    _check_domain("trade", {"price": price}, {"size": size})
 
+    # the input is sorted, so each trade-bearing second starts where sec changes
     sec = ts_ms // 1000
-    t0, t1 = int(sec[0]), int(sec[-1])
-    n = t1 - t0 + 1
-
-    # boundaries of each trade-bearing second within the sorted trade arrays
-    uniq, first_idx = np.unique(sec, return_index=True)
+    first_idx = np.flatnonzero(np.r_[True, sec[1:] != sec[:-1]])
     last_idx = np.append(first_idx[1:], len(sec)) - 1
-    notional = price * size
+    t0, t1 = int(sec[0]), int(sec[-1])
+    slot = sec[first_idx] - t0
 
-    o = np.empty(n)
-    h = np.empty(n)
-    l = np.empty(n)
-    c = np.empty(n)
-    v = np.zeros(n)
+    # every second reads the latest trade-bearing second at or before it
+    src = np.zeros(t1 - t0 + 1, dtype=np.int64)
+    src[slot] = np.arange(len(slot))
+    np.maximum.accumulate(src, out=src)
+    traded = np.zeros(len(src), dtype=bool)
+    traded[slot] = True
 
-    slot = (uniq - t0).astype(np.int64)
-    o_trade = price[first_idx]
-    c_trade = price[last_idx]
-    h_trade = np.maximum.reduceat(price, first_idx)
-    l_trade = np.minimum.reduceat(price, first_idx)
-    v_trade = np.add.reduceat(notional, first_idx)
+    close = price[last_idx][src]
 
-    filled = np.zeros(n, dtype=bool)
-    filled[slot] = True
-    o[slot] = o_trade
-    h[slot] = h_trade
-    l[slot] = l_trade
-    c[slot] = c_trade
-    v[slot] = v_trade
-
-    # carry the previous close into tradeless seconds
-    carry = np.nan
-    for i in range(n):
-        if filled[i]:
-            carry = c[i]
-        else:
-            o[i] = h[i] = l[i] = c[i] = carry
+    def traded_or_close(per_second):
+        return np.where(traded, per_second[src], close)
 
     return BarSeries(
         t=np.arange(t0, t1 + 1, dtype=np.int64),
-        open=o,
-        high=h,
-        low=l,
-        close=c,
-        volume=v,
+        open=traded_or_close(price[first_idx]),
+        high=traded_or_close(np.maximum.reduceat(price, first_idx)),
+        low=traded_or_close(np.minimum.reduceat(price, first_idx)),
+        close=close,
+        volume=np.where(traded, np.add.reduceat(price * size, first_idx)[src], 0.0),
     )
 
 
@@ -143,31 +133,19 @@ TRADE_HEADER = ["timestamp_ms", "price", "size"]
 BAR_HEADER = ["t", "open", "high", "low", "close", "volume"]
 
 
-def read_trades_csv(path) -> list[Trade]:
-    rows = artifacts.read_csv(path, TRADE_HEADER)
-    return [Trade(int(row[0]), float(row[1]), float(row[2])) for row in rows]
-
-
-def write_trades_csv(path, trades: Iterable[Trade]) -> None:
-    artifacts.write_csv(path, TRADE_HEADER, ((tr.timestamp_ms, tr.price, tr.size) for tr in trades))
+def read_trades_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(timestamp_ms, price, size)`` columns of a trade CSV, for ``aggregate``."""
+    return artifacts.read_columns(path, TRADE_HEADER, (np.int64, np.float64, np.float64))
 
 
 def read_bars_csv(path) -> BarSeries:
-    rows = list(artifacts.read_csv(path, BAR_HEADER))
-    if not rows:
+    t, o, h, l, c, v = artifacts.read_columns(path, BAR_HEADER, (np.int64,) + (np.float64,) * 5)
+    if len(t) == 0:
         raise EmptyData("bar file has no rows")
-    arr = np.array(rows, dtype=np.float64)
-    t = arr[:, 0].astype(np.int64)
     if np.any(np.diff(t) != 1):
         raise UnsortedInput("bar seconds must be consecutive and gap-free")
-    return BarSeries(
-        t=t,
-        open=arr[:, 1],
-        high=arr[:, 2],
-        low=arr[:, 3],
-        close=arr[:, 4],
-        volume=arr[:, 5],
-    )
+    _check_domain("bar", {"open": o, "high": h, "low": l, "close": c}, {"volume": v})
+    return BarSeries(t=t, open=o, high=h, low=l, close=c, volume=v)
 
 
 def write_bars_csv(path, series: BarSeries) -> None:

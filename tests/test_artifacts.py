@@ -1,5 +1,6 @@
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ammlab import artifacts
 
 EDGE_FLOATS = [-0.0, 5e-324, -2.2250738585072014e-308, float("inf"), float("-inf"), sys.float_info.max]
 FLOAT64 = hst.one_of(hst.floats(allow_nan=False), hst.sampled_from(EDGE_FLOATS))
+INT64 = hst.integers(-(2**63), 2**63 - 1)
 
 
 def bits(x) -> bytes:
@@ -18,12 +20,13 @@ def bits(x) -> bytes:
 
 class TestCsv:
     @settings(max_examples=200, deadline=None)
-    @given(hst.lists(hst.one_of(FLOAT64, FLOAT64.map(np.float64)), min_size=1, max_size=8))
-    def test_float_cells_round_trip_bit_for_bit(self, tmp_path_factory, values):
-        path = tmp_path_factory.mktemp("csv") / "floats.csv"
-        artifacts.write_csv(path, ["value"], [[v] for v in values])
-        cells = [row[0] for row in artifacts.read_csv(path, ["value"])]
-        assert [bits(float(c)) for c in cells] == [bits(v) for v in values]
+    @given(hst.lists(hst.tuples(INT64, hst.one_of(FLOAT64, FLOAT64.map(np.float64))), min_size=1, max_size=8))
+    def test_float_cells_round_trip_bit_for_bit(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "cells.csv"
+        artifacts.write_csv(path, ["n", "value"], rows)
+        n, value = artifacts.read_columns(path, ["n", "value"], [np.int64, np.float64])
+        assert n.dtype == np.int64 and n.tolist() == [i for i, _ in rows]
+        assert [bits(x) for x in value.tolist()] == [bits(v) for _, v in rows]
 
     @pytest.mark.parametrize("n", [0, 1, 4096, 10_001])
     def test_column_rows_match_whole_columns(self, n):
@@ -34,9 +37,32 @@ class TestCsv:
     def test_wrong_or_missing_header_rejected(self, tmp_path):
         path = tmp_path / "x.csv"
         artifacts.write_csv(path, ["a", "b"], [[1, 2]])
-        assert list(artifacts.read_csv(path, ["a", "b"])) == [["1", "2"]]
+        a, b = artifacts.read_columns(path, ["a", "b"], [np.int64, np.float64])
+        assert a.tolist() == [1] and b.tolist() == [2.0]
         with pytest.raises(ValueError):
-            list(artifacts.read_csv(path, ["a", "c"]))
+            artifacts.read_columns(path, ["a", "c"], [np.int64, np.float64])
         path.write_text("")
         with pytest.raises(ValueError):
-            list(artifacts.read_csv(path, ["a", "b"]))
+            artifacts.read_columns(path, ["a", "b"], [np.int64, np.float64])
+
+    def test_header_only_gives_empty_columns_without_warning(self, tmp_path):
+        path = tmp_path / "x.csv"
+        artifacts.write_csv(path, ["a", "b"], [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = artifacts.read_columns(path, ["a", "b"], [np.int64, np.float64])
+        assert (a.dtype, b.dtype, len(a), len(b)) == (np.int64, np.float64, 0, 0)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_line_endings(self, tmp_path, newline):
+        path = tmp_path / "x.csv"
+        path.write_bytes(newline.join(["a,b", "1,0.5", "2,-1.5", ""]).encode())
+        a, b = artifacts.read_columns(path, ["a", "b"], [np.int64, np.float64])
+        assert a.tolist() == [1, 2] and b.tolist() == [0.5, -1.5]
+
+    @pytest.mark.parametrize("row", ["#1,2", "1,#2", "1", "1,2,3", "1.5,2", "x,2"])
+    def test_malformed_row_rejected(self, tmp_path, row):
+        path = tmp_path / "x.csv"
+        path.write_text(f"a,b\n1,2\n{row}\n")
+        with pytest.raises(ValueError):
+            artifacts.read_columns(path, ["a", "b"], [np.int64, np.float64])

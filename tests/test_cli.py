@@ -148,6 +148,31 @@ class TestPipeline:
         lines = (out / "bars.csv").read_text().splitlines()
         assert len(lines) == 4  # header + seconds 1..3
 
+    @pytest.mark.parametrize("row", ["1500,nan,2.0", "1500,-5.0,2.0", "1500,101.0,-3.0"])
+    def test_impossible_trade_exits_two_without_bars(self, tmp_path, capsys, row):
+        trades = tmp_path / "trades.csv"
+        trades.write_text(f"timestamp_ms,price,size\n1000,100.0,1.0\n{row}\n3000,100.5,1.0\n")
+        cfg = write_config(tmp_path, {"seed": 0, "data": {"trades_csv": str(trades)}})
+        out = tmp_path / "out"
+        assert cli.main(["ingest", "--config", cfg, "--out", str(out)]) == 2
+        assert not (out / "bars.csv").exists()
+        assert "DomainError: trade row 1 " in capsys.readouterr().err
+
+    def test_nan_close_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "synth")]) == 0
+        bars = tmp_path / "synth" / "bars.csv"
+        lines = bars.read_text().splitlines()
+        cells = lines[400].split(",")
+        cells[4] = "nan"  # close
+        lines[400] = ",".join(cells)
+        bars.write_text("\n".join(lines) + "\n")
+        cfg2 = write_config(tmp_path, {"seed": 3, "data": {"bars_csv": str(bars)}}, "config2.json")
+        out = tmp_path / "bt"
+        assert cli.main(["backtest", "--config", cfg2, "--strategy", "lancelot", "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert "DomainError: bar row 399 " in capsys.readouterr().err
+
     def test_backtest_lancelot_fully_active(self, tmp_path):
         cfg = write_config(tmp_path, base_config(strategy={"name": "lancelot"}))
         out = tmp_path / "bt"

@@ -1,12 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from ammlab import marketdata as md
-from ammlab.errors import EmptyData, InsufficientData, UnsortedInput
+from ammlab import artifacts, marketdata as md
+from ammlab.errors import DomainError, EmptyData, InsufficientData, UnsortedInput
 
 
 def trades(*rows):
-    return [md.Trade(int(t * 1000), p, s) for t, p, s in rows]
+    """(timestamp_ms, price, size) columns from (seconds, price, size) rows."""
+    return (
+        np.array([int(t * 1000) for t, _, _ in rows], dtype=np.int64),
+        np.array([p for _, p, _ in rows], dtype=np.float64),
+        np.array([s for _, _, s in rows], dtype=np.float64),
+    )
 
 
 def bar_at(series, i):
@@ -14,51 +23,107 @@ def bar_at(series, i):
     return tuple(getattr(series, col)[i] for col in ("t", "open", "high", "low", "close"))
 
 
+def reference_bars(ts_ms, price, size):
+    """The aggregation one second at a time: (t, o, h, l, c, v) rows."""
+    by_second = {}
+    for t, p, q in zip(ts_ms.tolist(), price.tolist(), size.tolist()):
+        by_second.setdefault(t // 1000, []).append((p, q))
+    rows, close = [], None
+    for sec in range(ts_ms[0] // 1000, ts_ms[-1] // 1000 + 1):
+        second = by_second.get(sec)
+        if second is None:
+            rows.append((sec, close, close, close, close, 0.0))
+            continue
+        prices = [p for p, _ in second]
+        close = prices[-1]
+        rows.append((sec, prices[0], max(prices), min(prices), close, math.fsum(p * q for p, q in second)))
+    return rows
+
+
+# millisecond steps between consecutive trades: same millisecond, same
+# second, the next second, and gaps that leave tradeless seconds
+TRADE_STEP_MS = hst.one_of(hst.sampled_from([0, 0, 1, 999, 1000, 3500]), hst.integers(0, 6000))
+TRADE_ROWS = hst.lists(
+    hst.tuples(TRADE_STEP_MS, hst.floats(1e-3, 1e6), hst.floats(0.0, 1e3)), min_size=1, max_size=60
+)
+
+
 class TestAggregate:
     def test_two_trades_one_second(self):
-        series = md.aggregate(trades((5, 100.0, 1.0), (5.4, 102.0, 1.0)))
+        series = md.aggregate(*trades((5, 100.0, 1.0), (5.4, 102.0, 1.0)))
         assert bar_at(series, 0) == (5, 100.0, 102.0, 100.0, 102.0)
         assert series.volume[0] == pytest.approx(202.0)
 
     def test_single_trade_degenerate_bar(self):
-        series = md.aggregate(trades((7, 50.0, 2.5)))
+        series = md.aggregate(*trades((7, 50.0, 2.5)))
         assert bar_at(series, 0) == (7, 50.0, 50.0, 50.0, 50.0)
         assert series.volume[0] == pytest.approx(125.0)
 
     def test_gap_fill_carries_close(self):
-        series = md.aggregate(trades((5, 100.0, 1.0), (5.9, 101.0, 1.0), (7, 99.0, 1.0)))
+        series = md.aggregate(*trades((5, 100.0, 1.0), (5.9, 101.0, 1.0), (7, 99.0, 1.0)))
         assert len(series) == 3
         assert bar_at(series, 1) == (6, 101.0, 101.0, 101.0, 101.0)
         assert series.volume[1] == 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyData):
-            md.aggregate([])
+            md.aggregate([], [], [])
 
     def test_unsorted_input_rejected(self):
         with pytest.raises(UnsortedInput):
-            md.aggregate(trades((5, 100.0, 1.0), (4, 100.0, 1.0)))
+            md.aggregate(*trades((5, 100.0, 1.0), (4, 100.0, 1.0)))
 
     def test_volume_round_trip(self):
         rng = np.random.default_rng(0)
         ts = np.sort(rng.integers(0, 60_000, size=500))
-        rows = [md.Trade(int(t), float(p), float(s)) for t, p, s in
-                zip(ts, rng.uniform(90, 110, 500), rng.uniform(0.1, 3.0, 500))]
-        series = md.aggregate(rows)
-        total = sum(tr.price * tr.size for tr in rows)
-        assert np.sum(series.volume) == pytest.approx(total, rel=1e-9)
+        price, size = rng.uniform(90, 110, 500), rng.uniform(0.1, 3.0, 500)
+        series = md.aggregate(ts, price, size)
+        assert np.sum(series.volume) == pytest.approx(np.sum(price * size), rel=1e-9)
 
     def test_gap_fill_preserves_trading_closes(self):
         rng = np.random.default_rng(1)
         ts = np.sort(rng.integers(0, 30_000, size=120))
-        rows = [md.Trade(int(t), float(p), 1.0) for t, p in zip(ts, rng.uniform(90, 110, 120))]
-        series = md.aggregate(rows)
+        price = rng.uniform(90, 110, 120)
+        series = md.aggregate(ts, price, np.ones(120))
         # last trade price of each trade-bearing second must equal that bar's close
-        by_second = {}
-        for tr in rows:
-            by_second[tr.timestamp_ms // 1000] = tr.price
-        for sec, price in by_second.items():
-            assert series.close[sec - rows[0].timestamp_ms // 1000] == price
+        by_second = dict(zip((ts // 1000).tolist(), price.tolist()))
+        for sec, last_price in by_second.items():
+            assert series.close[sec - ts[0] // 1000] == last_price
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.integers(0, 2 * 10**12), TRADE_ROWS)
+    def test_matches_per_second_reference(self, start_ms, rows):
+        ts_ms = start_ms + np.cumsum([step for step, _, _ in rows], dtype=np.int64)
+        price = np.array([p for _, p, _ in rows])
+        size = np.array([q for _, _, q in rows])
+        series = md.aggregate(ts_ms, price, size)
+        ref = reference_bars(ts_ms, price, size)
+        t, o, h, l, c, v = (np.array(col) for col in zip(*ref))
+        assert series.t.dtype == np.int64 and np.array_equal(series.t, t)
+        for got, want in [(series.open, o), (series.high, h), (series.low, l), (series.close, c)]:
+            assert got.tobytes() == want.tobytes()
+        assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0) for a, b in zip(series.volume, v))
+        assert np.all(series.low <= np.minimum(series.open, series.close))
+        assert np.all(np.maximum(series.open, series.close) <= series.high)
+        carried = ~np.isin(series.t, ts_ms // 1000)
+        flat = (series.open == series.close) & (series.high == series.close) & (series.low == series.close)
+        assert np.all(flat[carried]) and np.all(series.volume[carried] == 0.0)
+        last_price = dict(zip((ts_ms // 1000).tolist(), price.tolist()))
+        assert all(series.close[sec - series.t[0]] == p for sec, p in last_price.items())
+
+    @pytest.mark.parametrize("bad", [(1, "price", math.nan), (1, "price", -5.0), (0, "price", 0.0),
+                                     (2, "price", math.inf), (1, "size", -3.0), (2, "size", math.nan),
+                                     (0, "size", math.inf)])
+    def test_impossible_trade_rejected_at_its_row(self, bad):
+        row, column, value = bad
+        ts_ms, price, size = trades((5, 100.0, 1.0), (5.5, 101.0, 1.0), (6, 99.0, 1.0))
+        {"price": price, "size": size}[column][row] = value
+        with pytest.raises(DomainError, match=f"trade row {row} "):
+            md.aggregate(ts_ms, price, size)
+
+    def test_zero_size_accepted(self):
+        series = md.aggregate(*trades((5, 100.0, 0.0)))
+        assert series.volume[0] == 0.0
 
 
 class TestSplit:
@@ -87,18 +152,23 @@ class TestSplit:
 
 
 def _flat_series(n):
-    return md.aggregate([md.Trade(i * 1000, 100.0, 1.0) for i in range(n)])
+    return md.aggregate(np.arange(n) * 1000, np.full(n, 100.0), np.ones(n))
+
+
+BAR_TEXT = "t,open,high,low,close,volume\n1,1,1,1,1,0\n2,1,1,1,1,0\n"
 
 
 class TestCsv:
     def test_trade_round_trip(self, tmp_path):
         rows = trades((5, 100.125, 1.5), (6, 99.875, 0.25))
         path = tmp_path / "trades.csv"
-        md.write_trades_csv(path, rows)
-        assert md.read_trades_csv(path) == rows
+        artifacts.write_csv(path, md.TRADE_HEADER, zip(*(col.tolist() for col in rows)))
+        back = md.read_trades_csv(path)
+        assert [col.dtype for col in back] == [np.int64, np.float64, np.float64]
+        assert all(np.array_equal(a, b) for a, b in zip(back, rows))
 
     def test_bar_round_trip(self, tmp_path):
-        series = md.aggregate(trades((5, 100.0, 1.0), (7, 101.0, 2.0)))
+        series = md.aggregate(*trades((5, 100.0, 1.0), (7, 101.0, 2.0)))
         path = tmp_path / "bars.csv"
         md.write_bars_csv(path, series)
         back = md.read_bars_csv(path)
@@ -116,3 +186,45 @@ class TestCsv:
         path.write_text("t,open,high,low,close,volume\n1,1,1,1,1,0\n3,1,1,1,1,0\n")
         with pytest.raises(UnsortedInput):
             md.read_bars_csv(path)
+
+    @pytest.mark.parametrize("t", ["0.5", "1.5"])
+    def test_fractional_bar_second_rejected(self, tmp_path, t):
+        path = tmp_path / "bars.csv"
+        path.write_text(BAR_TEXT.replace("\n2,", f"\n{t},"))
+        with pytest.raises(ValueError):
+            md.read_bars_csv(path)
+
+    @pytest.mark.parametrize("column", ["open", "high", "low", "close", "volume"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1.0"])
+    def test_impossible_bar_rejected_at_its_row(self, tmp_path, column, value):
+        k = md.BAR_HEADER.index(column)
+        cells = "2,1,1,1,1,0".split(",")
+        cells[k] = value
+        path = tmp_path / "bars.csv"
+        path.write_text(BAR_TEXT.replace("2,1,1,1,1,0", ",".join(cells)))
+        with pytest.raises(DomainError, match="bar row 1 "):
+            md.read_bars_csv(path)
+
+    def test_header_only_trade_file_is_empty_data(self, tmp_path):
+        path = tmp_path / "trades.csv"
+        path.write_text("timestamp_ms,price,size\n")
+        with pytest.raises(EmptyData):
+            md.aggregate(*md.read_trades_csv(path))
+
+    def test_header_only_bar_file_is_empty_data(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text("t,open,high,low,close,volume\n")
+        with pytest.raises(EmptyData):
+            md.read_bars_csv(path)
+
+    def test_blank_trade_line_skipped(self, tmp_path):
+        path = tmp_path / "trades.csv"
+        path.write_text("timestamp_ms,price,size\n1000,100.0,1.0\n\n2500,101.0,2.0\n")
+        ts_ms, price, size = md.read_trades_csv(path)
+        assert ts_ms.tolist() == [1000, 2500] and price.tolist() == [100.0, 101.0]
+
+    def test_malformed_trade_row_rejected(self, tmp_path):
+        path = tmp_path / "trades.csv"
+        path.write_text("timestamp_ms,price,size\n1000,100.0\n")
+        with pytest.raises(ValueError):
+            md.read_trades_csv(path)
