@@ -51,17 +51,18 @@ class ReplayBuffer:
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
+    def sample(self, batch_size: int, rng: np.random.Generator, out=None):
+        """(states, actions, rewards, next_states, terminals) drawn uniformly with replacement.
+
+        With `out`, five arrays of `batch_size` rows shaped like those, the
+        batch is gathered into them instead of into new arrays.
+        """
         if self.size < batch_size:
             raise BufferTooSmall(f"buffer has {self.size} < batch {batch_size}")
         idx = rng.integers(0, self.size, size=batch_size)
-        return (
-            self.states[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_states[idx],
-            self.terminals[idx],
-        )
+        columns = (self.states, self.actions, self.rewards, self.next_states, self.terminals)
+        # idx is in range by construction; "clip" lets take write into out unbuffered
+        return tuple(col.take(idx, axis=0, out=o, mode="clip") for col, o in zip(columns, out or (None,) * 5))
 
 
 @dataclass
@@ -115,7 +116,7 @@ def select_action(net: Mlp, state, epsilon: float, rng: np.random.Generator) -> 
         raise ValueError("epsilon must be in [0, 1]")
     if rng.random() < epsilon:
         return int(rng.integers(0, 2))
-    q = neural.forward(net, state)
+    q = neural.forward(net, state[None, :])  # a (1, d) row, as a batch would promote it
     return int(np.argmax(q))  # first max wins, so ties pick action 0
 
 
@@ -146,22 +147,38 @@ class DdqnAgent:
         pushes = config.episodes * config.episode_length
         self.buffer = ReplayBuffer(min(config.buffer_capacity, pushes))
         self.updates = 0
+        # train_step's batch, activations and gradients, reused every update
+        n = config.batch_size
+        self.batch = (
+            np.empty((n, STATE_DIM)),
+            np.empty(n, dtype=np.int64),
+            np.empty(n),
+            np.empty((n, STATE_DIM)),
+            np.empty(n),
+        )
+        self.work = neural.Workspace(Q_NET_DIMS, n)
+        self.grad_out = np.zeros((n, Q_NET_DIMS[-1]))
+        self.rows = np.arange(n)
 
     def train_step(self, batch=None) -> float:
-        """One minibatch regression step; gradients flow only through taken actions."""
+        """One minibatch regression step; gradients flow only through taken actions.
+
+        A given `batch` must have `config.batch_size` rows, like a sampled one.
+        """
         cfg = self.config
         if batch is None:
-            batch = self.buffer.sample(cfg.batch_size, self.rng)
+            batch = self.buffer.sample(cfg.batch_size, self.rng, out=self.batch)
         states, actions, _, _, _ = batch
         y = ddqn_target(batch, self.online, self.target, cfg.gamma)
-        q, cache = neural.forward_cached(self.online, states)
-        rows = np.arange(len(actions))
+        q, cache = neural.forward_cached(self.online, states, self.work)
+        rows = self.rows
         err = q[rows, actions] - y
         loss = float(np.mean(err**2))
-        grad_out = np.zeros_like(q)
+        grad_out = self.grad_out
+        grad_out.fill(0.0)
         grad_out[rows, actions] = 2.0 * err / len(actions)
-        grads = neural.backward(self.online, cache, grad_out)
-        neural.adam_update(self.online, grads, self.opt)
+        neural.backward(self.online, cache, grad_out)
+        neural.adam_update(self.online, cache.grads, self.opt)
         self.updates += 1
         if self.updates % cfg.target_sync == 0:
             neural.copy_parameters(self.online, self.target)

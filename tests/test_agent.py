@@ -1,10 +1,18 @@
+import copy
+import hashlib
+import json
+from dataclasses import dataclass, field
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ammlab import agent as ag
-from ammlab import envsim, neural, synthpath
+from ammlab import cli, envsim, neural, synthpath
 from ammlab.ammcore import PoolConfig
-from ammlab.errors import BufferTooSmall
+from ammlab.errors import BufferTooSmall, ShapeError
 from ammlab.synthpath import OuParams
 
 
@@ -272,3 +280,233 @@ class TestTrainLoop:
         episodes, returns, epsilons, losses, rebalances, actives = zip(*log)
         assert episodes == (1, 2, 3)
         assert all(0 <= a <= 1 for a in actives)
+
+
+class TestGoldenCheckpoint:
+    # These digests pin this machine's OpenBLAS 0.3.31 (scipy-openblas) and
+    # numpy 2.4: another BLAS build or numpy version may round the matmuls
+    # differently and then changes them without any change to the learner.
+    # Any change to the train step has to leave them as they are.
+    CHECKPOINT_SHA256 = "403f432e1e0850bdf7a9a6853f290a65f3736eb6792dde698b11d42d9aee4eca"
+    LOG_SHA256 = "5cf63a2f69bfeab7cc9fefeb55eb713b01feb53ab7cefb5da394405e9250e153"
+
+    def test_smoke_train_bytes(self, tmp_path):
+        # one 600-step episode at batch 128: 473 updates, so 4 target syncs
+        doc = json.loads((Path(__file__).parent.parent / "configs" / "smoke.json").read_text())
+        doc["train"].update(episodes=1, episode_length=600)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "train"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out), "--seed", "1"]) == 0
+        ckpt = out / "checkpoint.json"
+        assert json.loads(ckpt.read_text())["metadata"]["training_step"] == 473
+        assert hashlib.sha256(ckpt.read_bytes()).hexdigest() == self.CHECKPOINT_SHA256
+        log = out / "training_log.csv"
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == self.LOG_SHA256
+
+
+# The list-of-arrays network kernels from before parameters became one flat
+# vector, kept verbatim (calls renamed to ref_*) as the slow reference that
+# train_step must match bit for bit.
+
+
+class RefNet:
+    def __init__(self, net):
+        self.layer_dims = net.layer_dims
+        self.weights = [w.copy() for w in net.weights]
+        self.biases = [b.copy() for b in net.biases]
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.weights)
+
+
+def ref_as_batch(x, dim):
+    x = np.asarray(x, dtype=np.float64)
+    squeeze = x.ndim == 1
+    if squeeze:
+        x = x[None, :]
+    if x.ndim != 2 or x.shape[1] != dim:
+        raise ShapeError(f"expected input dim {dim}, got shape {x.shape}")
+    return x, squeeze
+
+
+def ref_forward(net, x) -> np.ndarray:
+    y, _ = ref_forward_cached(net, x)
+    return y
+
+
+def ref_forward_cached(net, x):
+    """Forward pass keeping pre-activations for the backward pass."""
+    h, squeeze = ref_as_batch(x, net.layer_dims[0])
+    pre = []
+    acts = [h]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i < net.n_layers - 1 else z
+        acts.append(h)
+    out = h[0] if squeeze else h
+    return out, (pre, acts, squeeze)
+
+
+def ref_backward(net, cache, grad_out):
+    """Gradients of sum(output * grad_out) w.r.t. every weight and bias."""
+    pre, acts, squeeze = cache
+    g = np.asarray(grad_out, dtype=np.float64)
+    if squeeze:
+        g = g[None, :]
+    if g.shape != pre[-1].shape:
+        raise ShapeError(f"grad_out shape {g.shape} != output shape {pre[-1].shape}")
+    grads_w = [None] * net.n_layers
+    grads_b = [None] * net.n_layers
+    for i in range(net.n_layers - 1, -1, -1):
+        if i < net.n_layers - 1:
+            g = g * (pre[i] > 0.0)  # ReLU gate
+        grads_w[i] = acts[i].T @ g
+        grads_b[i] = g.sum(axis=0)
+        if i > 0:
+            g = g @ net.weights[i].T
+    return list(zip(grads_w, grads_b))
+
+
+@dataclass
+class RefAdamState:
+    """Bias-corrected first/second moment accumulators for one Mlp."""
+
+    learning_rate: float = 1e-4
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m_w: list = field(default_factory=list)
+    v_w: list = field(default_factory=list)
+    m_b: list = field(default_factory=list)
+    v_b: list = field(default_factory=list)
+
+    @classmethod
+    def for_net(cls, net, learning_rate: float = 1e-4) -> "RefAdamState":
+        st = cls(learning_rate=learning_rate)
+        st.m_w = [np.zeros_like(w) for w in net.weights]
+        st.v_w = [np.zeros_like(w) for w in net.weights]
+        st.m_b = [np.zeros_like(b) for b in net.biases]
+        st.v_b = [np.zeros_like(b) for b in net.biases]
+        return st
+
+
+def ref_adam_update(net, grads, opt) -> None:
+    """One in-place adaptive-moment step on all parameters."""
+    if len(grads) != net.n_layers:
+        raise ShapeError("gradient list length mismatch")
+    opt.step += 1
+    c1 = 1.0 - opt.beta1**opt.step
+    c2 = 1.0 - opt.beta2**opt.step
+    for i, (gw, gb) in enumerate(grads):
+        if gw.shape != net.weights[i].shape or gb.shape != net.biases[i].shape:
+            raise ShapeError(f"gradient shape mismatch at layer {i}")
+        opt.m_w[i] = opt.beta1 * opt.m_w[i] + (1 - opt.beta1) * gw
+        opt.v_w[i] = opt.beta2 * opt.v_w[i] + (1 - opt.beta2) * gw**2
+        opt.m_b[i] = opt.beta1 * opt.m_b[i] + (1 - opt.beta1) * gb
+        opt.v_b[i] = opt.beta2 * opt.v_b[i] + (1 - opt.beta2) * gb**2
+        net.weights[i] -= opt.learning_rate * (opt.m_w[i] / c1) / (np.sqrt(opt.v_w[i] / c2) + opt.eps)
+        net.biases[i] -= opt.learning_rate * (opt.m_b[i] / c1) / (np.sqrt(opt.v_b[i] / c2) + opt.eps)
+
+
+def ref_ddqn_target(batch, online, target, gamma: float) -> np.ndarray:
+    """Per-transition regression targets; terminal rows are just r."""
+    _, _, rewards, next_states, terminals = batch
+    if len(rewards) == 0:
+        raise ValueError("batch must be non-empty")
+    a_star = np.argmax(ref_forward(online, next_states), axis=1)
+    q_next = ref_forward(target, next_states)[np.arange(len(a_star)), a_star]
+    return rewards + gamma * (1.0 - terminals) * q_next
+
+
+class RefAgent:
+    """The train step on list-based nets, sampling with fancy indexing."""
+
+    def __init__(self, agent):
+        self.config = agent.config
+        self.rng = copy.deepcopy(agent.rng)
+        self.buffer = agent.buffer
+        self.online = RefNet(agent.online)
+        self.target = RefNet(agent.target)
+        self.opt = RefAdamState.for_net(self.online, learning_rate=agent.config.learning_rate)
+        self.updates = agent.updates
+
+    def sample(self, batch_size):
+        buf = self.buffer
+        idx = self.rng.integers(0, buf.size, size=batch_size)
+        return buf.states[idx], buf.actions[idx], buf.rewards[idx], buf.next_states[idx], buf.terminals[idx]
+
+    def train_step(self) -> float:
+        cfg = self.config
+        batch = self.sample(cfg.batch_size)
+        states, actions, _, _, _ = batch
+        y = ref_ddqn_target(batch, self.online, self.target, cfg.gamma)
+        q, cache = ref_forward_cached(self.online, states)
+        rows = np.arange(len(actions))
+        err = q[rows, actions] - y
+        loss = float(np.mean(err**2))
+        grad_out = np.zeros_like(q)
+        grad_out[rows, actions] = 2.0 * err / len(actions)
+        grads = ref_backward(self.online, cache, grad_out)
+        ref_adam_update(self.online, grads, self.opt)
+        self.updates += 1
+        if self.updates % cfg.target_sync == 0:
+            self.target.weights = [w.copy() for w in self.online.weights]
+            self.target.biases = [b.copy() for b in self.online.biases]
+        return loss
+
+
+def flat(weights, biases):
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
+def filled_agent(batch_size, seed, pushes=400, **overrides):
+    """An agent whose ring holds `pushes` random transitions, some terminal."""
+    cfg = ag.TrainConfig(batch_size=batch_size, episodes=1, episode_length=1000, seed=seed, **overrides)
+    agent = ag.DdqnAgent(cfg, rng=np.random.default_rng(seed))
+    data = np.random.default_rng([seed, 1])
+    for _ in range(pushes):
+        state, next_state = data.normal(size=(2, envsim.STATE_DIM))
+        agent.buffer.push(state, int(data.integers(0, 2)), data.normal(), next_state, data.random() < 0.05)
+    return agent
+
+
+class TestTrainStepMatchesListReference:
+    @pytest.mark.parametrize("batch_size", [1, 4, 128])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1))
+    def test_bit_for_bit(self, batch_size, seed):
+        # 300 updates cross three target syncs (every 100)
+        agent = filled_agent(batch_size, seed)
+        ref = RefAgent(agent)
+        for _ in range(300):
+            assert agent.train_step() == ref.train_step()
+        assert agent.updates == ref.updates == 300
+        assert np.array_equal(agent.online.params, flat(ref.online.weights, ref.online.biases))
+        assert np.array_equal(agent.target.params, flat(ref.target.weights, ref.target.biases))
+        assert np.array_equal(agent.opt.m, flat(ref.opt.m_w, ref.opt.m_b))
+        assert np.array_equal(agent.opt.v, flat(ref.opt.v_w, ref.opt.v_b))
+
+
+class TestOptimizerRoundTrip:
+    def test_resumed_steps_equal_uninterrupted(self, tmp_path):
+        a = filled_agent(16, seed=11, target_sync=25)
+        for _ in range(40):
+            a.train_step()
+        path = tmp_path / "checkpoint.json"
+        neural.save_checkpoint(path, a.online, opt=a.opt)
+        b = ag.DdqnAgent(a.config)
+        b.online, _, b.opt = neural.load_checkpoint(path)
+        assert all(np.shares_memory(view, b.opt.m) for view in b.opt.m_w + b.opt.m_b)
+        assert all(np.shares_memory(view, b.opt.v) for view in b.opt.v_w + b.opt.v_b)
+        neural.copy_parameters(a.target, b.target)
+        b.buffer, b.updates, b.rng = a.buffer, a.updates, copy.deepcopy(a.rng)
+        for _ in range(60):
+            assert a.train_step() == b.train_step()
+        assert b.opt.step == a.opt.step == 100
+        for x, y in ((a.online.params, b.online.params), (a.target.params, b.target.params),
+                     (a.opt.m, b.opt.m), (a.opt.v, b.opt.v)):
+            assert np.array_equal(x, y)

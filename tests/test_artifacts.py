@@ -66,3 +66,13 @@ class TestCsv:
         path.write_text(f"a,b\n1,2\n{row}\n")
         with pytest.raises(ValueError):
             artifacts.read_columns(path, ["a", "b"], [np.int64, np.float64])
+
+    @pytest.mark.parametrize("bad_row", [0, 4095, 4096, 4999])
+    def test_malformed_row_named_by_file_line(self, tmp_path, bad_row):
+        # the header is line 1, so data row k (0-based) is line k + 2, in any chunk
+        rows = [f"{k},0.5" for k in range(5000)]
+        rows[bad_row] = "1;0.5"
+        path = tmp_path / "x.csv"
+        path.write_text("\n".join(["a,b"] + rows) + "\n")
+        with pytest.raises(ValueError, match=rf": line {bad_row + 2}: '1;0.5' is not 2 cells"):
+            artifacts.read_columns(path, ["a", "b"], [np.int64, np.float64])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,3 +229,23 @@ class TestCsv:
         path.write_text("timestamp_ms,price,size\n1000,100.0\n")
         with pytest.raises(ValueError):
             md.read_trades_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [(["1000,100.0,1.0", "2000,x,1.0"], 3), (["1000,100.0"], 2), (["1000,100.0,1.0", "", "2000,1.0"], 4)],
+    )
+    def test_malformed_trade_row_names_file_and_line(self, tmp_path, rows, line):
+        path = tmp_path / "trades.csv"
+        path.write_text("\n".join(["timestamp_ms,price,size"] + rows) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "):
+            md.read_trades_csv(path)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [(["1,1,1,1,1,0", "2,1,1,x,1,0"], 3), (["1,1,1,1,1"], 2), (["1,1,1,1,1,0", "", "2,1,1,1,1,0,7"], 4)],
+    )
+    def test_malformed_bar_row_names_file_and_line(self, tmp_path, rows, line):
+        path = tmp_path / "bars.csv"
+        path.write_text("\n".join(["t,open,high,low,close,volume"] + rows) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "):
+            md.read_bars_csv(path)

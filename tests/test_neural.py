@@ -16,8 +16,8 @@ class TestForward:
 
     def test_identity_single_layer(self):
         net = neural.Mlp([2, 2], seed=0)
-        net.weights[0] = np.eye(2)
-        net.biases[0] = np.zeros(2)
+        net.weights[0][...] = np.eye(2)
+        net.biases[0][...] = np.zeros(2)
         x = np.array([0.3, -1.7])
         assert np.array_equal(neural.forward(net, x), x)  # output layer is affine
 
@@ -169,3 +169,37 @@ class TestCopyAndCheckpoint:
         assert filecmp.cmp(p1, p2, shallow=False)
         x = np.random.default_rng(1).normal(size=8)
         assert np.array_equal(neural.forward(net, x), neural.forward(loaded, x))
+
+
+class TestFlatParameters:
+    def test_layers_are_views_that_cannot_be_rebound(self):
+        net = neural.Mlp([3, 4, 2], seed=0)
+        assert all(np.shares_memory(a, net.params) for a in net.weights + net.biases)
+        assert net.params.size == 3 * 4 + 4 + 4 * 2 + 2
+        with pytest.raises(TypeError):
+            net.weights[0] = np.ones((3, 4))
+        with pytest.raises(TypeError):
+            net.biases[1] = np.zeros(2)
+
+    def test_flat_and_per_layer_gradients_take_the_same_step(self):
+        rng = np.random.default_rng(3)
+        a = neural.Mlp([3, 4, 2], seed=1)
+        b = neural.clone(a)
+        opt_a, opt_b = neural.AdamState.for_net(a), neural.AdamState.for_net(b)
+        for _ in range(3):
+            g = rng.normal(size=a.params.size)
+            neural.adam_update(a, g, opt_a)
+            gw, gb = neural._layer_views(g, b.layer_dims)
+            neural.adam_update(b, list(zip(gw, gb)), opt_b)
+        assert np.array_equal(a.params, b.params) and np.array_equal(opt_a.v, opt_b.v)
+        with pytest.raises(ShapeError):
+            neural.adam_update(a, np.zeros(a.params.size + 1), opt_a)
+
+    def test_workspace_holds_its_row_count(self):
+        net = neural.Mlp([3, 4, 2], seed=0)
+        work = neural.Workspace(net.layer_dims, 5)
+        with pytest.raises(ShapeError):
+            neural.forward_cached(net, np.ones((4, 3)), work)
+        y, cache = neural.forward_cached(net, np.ones((5, 3)), work)
+        assert cache is work and np.shares_memory(y, work.acts[-1])
+        assert np.array_equal(y, neural.forward(net, np.ones((5, 3))))
