@@ -116,7 +116,7 @@ def select_action(net: Mlp, state, epsilon: float, rng: np.random.Generator) -> 
         raise ValueError("epsilon must be in [0, 1]")
     if rng.random() < epsilon:
         return int(rng.integers(0, 2))
-    q = neural.forward(net, state[None, :])  # a (1, d) row, as a batch would promote it
+    q = neural.forward(net, state)
     return int(np.argmax(q))  # first max wins, so ties pick action 0
 
 
@@ -177,8 +177,8 @@ class DdqnAgent:
         grad_out = self.grad_out
         grad_out.fill(0.0)
         grad_out[rows, actions] = 2.0 * err / len(actions)
-        neural.backward(self.online, cache, grad_out)
-        neural.adam_update(self.online, cache.grads, self.opt)
+        grads = neural.backward(self.online, cache, grad_out)
+        neural.adam_update(self.online, grads, self.opt)
         self.updates += 1
         if self.updates % cfg.target_sync == 0:
             neural.copy_parameters(self.online, self.target)

@@ -82,8 +82,6 @@ class Workspace:
 
 
 def _as_batch(x, dim):
-    if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim == 2 and x.shape[1] == dim:
-        return x, False  # already a batch (a single state as a (1, d) row too): no copy
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 1
     if squeeze:
@@ -116,15 +114,17 @@ def forward(net: Mlp, x, work: Workspace | None = None) -> np.ndarray:
 def forward_cached(net: Mlp, x, work: Workspace | None = None):
     """(output, workspace): a forward whose activations `backward` reads."""
     if work is None:
-        work = Workspace(net.layer_dims, 1 if np.ndim(x) == 1 else len(x))
+        h, _ = _as_batch(x, net.layer_dims[0])
+        work = Workspace(net.layer_dims, len(h))
     return forward(net, x, work), work
 
 
 def backward(net: Mlp, work: Workspace, grad_out):
     """Gradients of sum(output * grad_out) w.r.t. every weight and bias.
 
-    Reads the activations of the last forward through `work`, writes into
-    `work.grads` and returns its per-layer (grad_w, grad_b) views.
+    Reads the activations of the last forward through `work` and returns
+    `work.grads`, laid out like `net.params`; `work.grad_w`/`work.grad_b`
+    are its per-layer views.
     """
     g = np.asarray(grad_out, dtype=np.float64)
     if g.ndim == 1:
@@ -140,7 +140,7 @@ def backward(net: Mlp, work: Workspace, grad_out):
             # ReLU gate as a float multiply, so a negative g at a dead unit stays -0.0
             np.greater(inputs, 0.0, out=work.gates[i - 1])
             np.multiply(g, work.gates[i - 1], out=g)
-    return list(zip(work.grad_w, work.grad_b))
+    return work.grads
 
 
 class AdamState:
@@ -168,38 +168,24 @@ class AdamState:
         return cls(net.layer_dims, learning_rate=learning_rate)
 
 
-def _flat_grads(net: Mlp, grads) -> np.ndarray:
-    """A gradient laid out like net.params, from that vector or per-layer pairs."""
-    if isinstance(grads, np.ndarray):
-        if grads.shape != net.params.shape:
-            raise ShapeError(f"gradient shape {grads.shape} != parameter shape {net.params.shape}")
-        return grads
-    if len(grads) != net.n_layers:
-        raise ShapeError("gradient list length mismatch")
-    for i, (gw, gb) in enumerate(grads):
-        if gw.shape != net.weights[i].shape or gb.shape != net.biases[i].shape:
-            raise ShapeError(f"gradient shape mismatch at layer {i}")
-    return np.concatenate([a.ravel() for pair in grads for a in pair])
-
-
-def adam_update(net: Mlp, grads, opt: AdamState) -> None:
+def adam_update(net: Mlp, grads: np.ndarray, opt: AdamState) -> None:
     """One in-place adaptive-moment step on all parameters.
 
-    `grads` is a vector laid out like `net.params` or per-layer
-    (grad_w, grad_b) pairs. Elementwise, in the order of
-    m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+    `grads` is a vector laid out like `net.params`. Elementwise, in the
+    order of m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
     p -= lr * (m/c1) / (sqrt(v/c2) + eps).
     """
-    g = _flat_grads(net, grads)
+    if grads.shape != net.params.shape:
+        raise ShapeError(f"gradient shape {grads.shape} != parameter shape {net.params.shape}")
     opt.step += 1
     c1 = 1.0 - opt.beta1**opt.step
     c2 = 1.0 - opt.beta2**opt.step
     m, v = opt.m, opt.v
     t, u = opt._scratch
-    np.multiply(g, 1 - opt.beta1, out=t)
+    np.multiply(grads, 1 - opt.beta1, out=t)
     m *= opt.beta1
     m += t
-    np.square(g, out=t)
+    np.square(grads, out=t)
     t *= 1 - opt.beta2
     v *= opt.beta2
     v += t

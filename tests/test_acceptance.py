@@ -187,13 +187,13 @@ def test_criterion_3_gradient_check():
         x = rng.normal(size=(4, 8))
         grad_out = rng.normal(size=(4, 2))
         _, cache = neural.forward_cached(net, x)
-        analytic = neural.backward(net, cache, grad_out)
+        neural.backward(net, cache, grad_out)
 
         def loss():
             return float(np.sum(neural.forward(net, x) * grad_out))
 
         for li in range(net.n_layers):
-            for arr, grad in ((net.weights[li], analytic[li][0]), (net.biases[li], analytic[li][1])):
+            for arr, grad in ((net.weights[li], cache.grad_w[li]), (net.biases[li], cache.grad_b[li])):
                 it = np.nditer(arr, flags=["multi_index"])
                 for _ in it:
                     idx = it.multi_index

@@ -46,6 +46,8 @@ class TestForward:
         net = neural.Mlp([8, 4, 2], seed=0)
         with pytest.raises(ShapeError):
             neural.forward(net, np.ones(5))
+        with pytest.raises(ShapeError):
+            neural.forward_cached(net, 1.0)
 
 
 def finite_difference_grads(net, x, grad_out, h=1e-5):
@@ -74,15 +76,16 @@ class TestBackward:
     def test_zero_upstream_gradient(self):
         net = neural.Mlp([3, 5, 2], seed=2)
         _, cache = neural.forward_cached(net, np.ones(3))
-        grads = neural.backward(net, cache, np.zeros(2))
-        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+        neural.backward(net, cache, np.zeros(2))
+        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in zip(cache.grad_w, cache.grad_b))
 
     def test_linear_layer_outer_product(self):
         net = neural.Mlp([3, 2], seed=0)
         x = np.array([1.0, -2.0, 0.5])
         g = np.array([0.7, -0.3])
         _, cache = neural.forward_cached(net, x)
-        (gw, gb), = neural.backward(net, cache, g)
+        neural.backward(net, cache, g)
+        (gw,), (gb,) = cache.grad_w, cache.grad_b
         assert gw == pytest.approx(np.outer(x, g))
         assert gb == pytest.approx(g)
 
@@ -92,7 +95,8 @@ class TestBackward:
         x = rng.normal(size=(4, 8))
         grad_out = rng.normal(size=(4, 2))
         _, cache = neural.forward_cached(net, x)
-        analytic = neural.backward(net, cache, grad_out)
+        neural.backward(net, cache, grad_out)
+        analytic = zip(cache.grad_w, cache.grad_b)
         numeric = finite_difference_grads(net, x, grad_out)
         for (aw, ab), (nw, nb) in zip(analytic, numeric):
             for a, n in ((aw, nw), (ab, nb)):
@@ -105,8 +109,8 @@ class TestBackward:
         net.biases[0][:] = -5.0  # pre-activation negative for small inputs
         net.weights[1][:] = 1.0
         _, cache = neural.forward_cached(net, np.array([1.0]))
-        grads = neural.backward(net, cache, np.array([1.0]))
-        assert grads[0][0] == pytest.approx(np.zeros((1, 1)))
+        neural.backward(net, cache, np.array([1.0]))
+        assert cache.grad_w[0] == pytest.approx(np.zeros((1, 1)))
 
 
 class TestAdam:
@@ -114,26 +118,26 @@ class TestAdam:
         net = neural.Mlp([3, 3], seed=4)
         before = [w.copy() for w in net.weights]
         opt = neural.AdamState.for_net(net)
-        neural.adam_update(net, [(np.zeros((3, 3)), np.zeros(3))], opt)
+        neural.adam_update(net, np.zeros(3 * 3 + 3), opt)
         assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
 
     def test_first_step_is_signed_learning_rate(self):
         net = neural.Mlp([2, 2], seed=0)
         w0 = net.weights[0].copy()
         opt = neural.AdamState.for_net(net, learning_rate=1e-4)
-        g = np.full((2, 2), 0.5)
-        neural.adam_update(net, [(g, np.zeros(2))], opt)
+        g = np.array([0.5, 0.5, 0.5, 0.5, 0.0, 0.0])  # the 2x2 weights, then the 2 biases
+        neural.adam_update(net, g, opt)
         # bias correction makes m-hat = g and v-hat = g^2: delta ~ -lr*sign(g)
         assert net.weights[0] - w0 == pytest.approx(-1e-4 * np.ones((2, 2)), rel=1e-6)
 
     def test_constant_gradient_step_size_approaches_lr(self):
         net = neural.Mlp([1, 1], seed=0)
         opt = neural.AdamState.for_net(net, learning_rate=1e-3)
-        g = np.array([[0.37]])
+        g = np.array([0.37, 0.0])  # the one weight, then the one bias
         prev = net.weights[0].copy()
         for _ in range(200):
             prev = net.weights[0].copy()
-            neural.adam_update(net, [(g, np.zeros(1))], opt)
+            neural.adam_update(net, g, opt)
         assert abs(float(prev[0, 0] - net.weights[0][0, 0])) == pytest.approx(1e-3, rel=1e-3)
 
 
@@ -181,19 +185,12 @@ class TestFlatParameters:
         with pytest.raises(TypeError):
             net.biases[1] = np.zeros(2)
 
-    def test_flat_and_per_layer_gradients_take_the_same_step(self):
-        rng = np.random.default_rng(3)
-        a = neural.Mlp([3, 4, 2], seed=1)
-        b = neural.clone(a)
-        opt_a, opt_b = neural.AdamState.for_net(a), neural.AdamState.for_net(b)
-        for _ in range(3):
-            g = rng.normal(size=a.params.size)
-            neural.adam_update(a, g, opt_a)
-            gw, gb = neural._layer_views(g, b.layer_dims)
-            neural.adam_update(b, list(zip(gw, gb)), opt_b)
-        assert np.array_equal(a.params, b.params) and np.array_equal(opt_a.v, opt_b.v)
+    def test_gradient_must_be_laid_out_like_params(self):
+        net = neural.Mlp([3, 4, 2], seed=1)
+        opt = neural.AdamState.for_net(net)
         with pytest.raises(ShapeError):
-            neural.adam_update(a, np.zeros(a.params.size + 1), opt_a)
+            neural.adam_update(net, np.zeros(net.params.size + 1), opt)
+        assert opt.step == 0
 
     def test_workspace_holds_its_row_count(self):
         net = neural.Mlp([3, 4, 2], seed=0)
