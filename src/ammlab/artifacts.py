@@ -1,9 +1,12 @@
 """The one text format of every CSV and JSON artifact the lab writes.
 
-CSV cells are written unformatted: ``csv`` renders Python floats and
-numpy float64 scalars alike as their shortest round-trip text, so a cell
-parses back with ``float()`` or ``read_columns`` to the same bits. JSON
-documents are indented and key-sorted so reruns diff cleanly.
+CSV dialect: cells are separated by ``,`` and rows end in ``\r\n``; no
+cell needs quoting, and ``write_columns`` refuses one that would. Floats
+are their shortest round-trip text (``repr``), ints and labels their
+``str``, so a cell parses back with ``float()`` or ``read_columns`` to the
+same bits. These are the bytes ``csv.writer``'s default dialect emits,
+which ``write_csv`` uses for small row-shaped files. JSON documents are
+indented and key-sorted so reruns diff cleanly.
 """
 
 from __future__ import annotations
@@ -11,11 +14,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import re
 import warnings
 
 import numpy as np
 
 _CHUNK_ROWS = 4096
+_NEEDS_QUOTING = re.compile(r'\A\Z|[,"\r\n]')  # csv quotes an empty row's only cell
 
 
 def write_csv(path, header, rows) -> None:
@@ -25,14 +30,48 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def column_rows(*columns):
-    """Rows of equal-length numpy columns as Python scalars.
+def _check_labels(labels) -> None:
+    for label in labels:
+        if _NEEDS_QUOTING.search(label):
+            raise ValueError(f"cell {label!r} would need quoting")
 
-    Converted a chunk at a time: whole-column lists cost ~55 MB of peak
-    RSS for a 240k-bar series, a chunk well under 1 MB.
+
+def _cells(chunk):
+    """The text of each cell of one column chunk, each distinct value formatted once.
+
+    Floats are told apart by bit pattern, so -0.0 and every NaN keep their
+    own text. ``str`` of a list renders floats by ``repr`` and ints by
+    ``str``, with no Python call per value.
     """
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        yield from zip(*(col[start : start + _CHUNK_ROWS].tolist() for col in columns))
+    if chunk.dtype.kind in "OU":
+        cells = chunk.tolist()
+        _check_labels(set(cells))
+        return cells
+    keys = chunk.view(np.int64) if chunk.dtype == np.float64 else chunk
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = str(distinct.view(chunk.dtype).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def write_columns(path, header, columns) -> None:
+    """Write equal-length numpy columns as CSV rows, ``_CHUNK_ROWS`` at a time.
+
+    Float columns must be float64; label columns hold str (dtype ``U`` or
+    object). The bytes equal ``write_csv`` of the columns' ``tolist()``
+    rows. Raises ``ValueError`` for columns of unequal length or for a
+    header or label cell that is empty or holds ``,``, ``"``, ``\r`` or
+    ``\n``: it is refused, never quoted.
+    """
+    _check_labels(header)
+    columns = [np.asarray(col) for col in columns]
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError(f"columns of unequal length: {[len(col) for col in columns]}")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            cells = [_cells(col[start : start + _CHUNK_ROWS]) for col in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _parse_rows(lines, dtype):

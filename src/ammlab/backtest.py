@@ -225,7 +225,5 @@ def write_gas_sweep_csv(path, rows) -> None:
 
 def write_heatmap_csv(path, grid: HeatmapGrid) -> None:
     n_theta, n_edge = grid.q_diff.shape
-    rows = artifacts.column_rows(
-        np.repeat(grid.theta_axis, n_edge), np.tile(grid.d_edge_axis, n_theta), grid.q_diff.ravel()
-    )
-    artifacts.write_csv(path, ["theta", "d_edge", "q_diff"], rows)
+    columns = (np.repeat(grid.theta_axis, n_edge), np.tile(grid.d_edge_axis, n_theta), grid.q_diff.ravel())
+    artifacts.write_columns(path, ["theta", "d_edge", "q_diff"], columns)

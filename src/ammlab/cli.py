@@ -142,10 +142,12 @@ def cmd_estimate(args, doc, seed, cfg_hash, out_dir):
     series = _load_series(doc, seed)
     window = doc.get("estimate", {}).get("window", regime.DEFAULT_WINDOW)
     theta, mu, sigma, valid = regime.rolling_estimates(series.close, 1.0, window)
-    half_life = np.array([regime.half_life(th) if ok else math.inf for th, ok in zip(theta, valid)])
-    rows = artifacts.column_rows(series.t, theta, mu, sigma, half_life, valid.astype(int))
+    # rolling_estimates clips theta to >= 0, so only theta == 0 and invalid entries are inf
+    with np.errstate(divide="ignore", over="ignore"):
+        half_life = np.where(valid & (theta > 0), math.log(2.0) / theta, math.inf)
+    columns = (series.t, theta, mu, sigma, half_life, valid.astype(int))
     out = os.path.join(out_dir, "regime.csv")
-    artifacts.write_csv(out, ["t", "theta", "mu", "sigma", "half_life", "valid"], rows)
+    artifacts.write_columns(out, ["t", "theta", "mu", "sigma", "half_life", "valid"], columns)
     return [out]
 
 
@@ -239,6 +241,8 @@ def cmd_qvi(args, doc, seed, cfg_hash, out_dir):
             "converged": sol.converged,
             "iterations": sol.iterations,
             "sup_change": sol.sup_change,
+            "sup_change_history": sol.sup_change_history,
+            "policy_iterations": sol.policy_iterations,
             "fee_rate": problem.fee_rate(),
             "cost": problem.cost_value(),
         },

@@ -135,7 +135,8 @@ def trace_row(series: BarSeries, features: FeatureTrack, k: int, pos: Position, 
 
 
 def write_trace_csv(path, rows) -> None:
-    artifacts.write_csv(path, TRACE_HEADER, rows)
+    """``trace_row`` fixes each cell's type, so every column is homogeneous."""
+    artifacts.write_columns(path, TRACE_HEADER, [np.array(col) for col in zip(*rows)])
 
 
 class LpEnv:

@@ -150,4 +150,4 @@ def read_bars_csv(path) -> BarSeries:
 
 def write_bars_csv(path, series: BarSeries) -> None:
     columns = (series.t, series.open, series.high, series.low, series.close, series.volume)
-    artifacts.write_csv(path, BAR_HEADER, artifacts.column_rows(*columns))
+    artifacts.write_columns(path, BAR_HEADER, columns)

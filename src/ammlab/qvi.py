@@ -117,6 +117,8 @@ class QviSolution:
     converged: bool
     iterations: int
     sup_change: float
+    sup_change_history: list[float]  # sup-norm change of each outer iteration
+    policy_iterations: list[int]  # active-set passes of each outer iteration
 
 
 def _operator(problem: QviProblem):
@@ -179,12 +181,13 @@ def _solve_obstacle(lower, diag, upper, F, psi, mask, max_policy_iters=100):
     """Exact LCP solve per slice: min(A V - F, V - psi) = 0 nodewise.
 
     `mask` is the warm-start active set (True = obstacle row); returns
-    (V, final mask, settled). Active-set iteration on an M-matrix
-    terminates; settled is False when max_policy_iters cut it short.
+    (V, final mask, passes, settled), passes being the tridiagonal solves
+    made. Active-set iteration on an M-matrix terminates; settled is False
+    when max_policy_iters cut it short.
     """
     ones = np.ones_like(F)
     psi_col = np.broadcast_to(psi[:, None], F.shape)
-    for _ in range(max_policy_iters):
+    for passes in range(1, max_policy_iters + 1):
         lo = np.where(mask, 0.0, lower[:, None] * ones)
         dg = np.where(mask, 1.0, diag[:, None] * ones)
         up = np.where(mask, 0.0, upper[:, None] * ones)
@@ -194,9 +197,9 @@ def _solve_obstacle(lower, diag, upper, F, psi, mask, max_policy_iters=100):
         gap = V - psi_col
         new_mask = gap < residual
         if np.array_equal(new_mask, mask):
-            return V, mask, True
+            return V, mask, passes, True
         mask = new_mask
-    return V, mask, False
+    return V, mask, max_policy_iters, False
 
 
 def _diagonal_values(V: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -237,11 +240,14 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
     sup_change = math.inf
     iterations = 0
     all_settled = True
+    history, passes_per_iter = [], []
     for iterations in range(1, max_iters + 1):
         psi = _diagonal_values(V, s, c) - C
-        V_new, mask, settled = _solve_obstacle(lower, diag, upper, F, psi, mask)
+        V_new, mask, passes, settled = _solve_obstacle(lower, diag, upper, F, psi, mask)
         all_settled &= settled
         sup_change = float(np.max(np.abs(V_new - V)))
+        history.append(sup_change)
+        passes_per_iter.append(passes)
         V = V_new
         if sup_change < tol:
             break
@@ -259,6 +265,8 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
         converged=converged,
         iterations=iterations,
         sup_change=sup_change,
+        sup_change_history=history,
+        policy_iterations=passes_per_iter,
     )
 
 
@@ -299,9 +307,10 @@ def boundary_deviation(sol: QviSolution, c_value: float) -> tuple[float, float]:
 
 def write_solution_csv(path, sol: QviSolution) -> None:
     n_s, n_c = sol.V.shape
-    nodes = artifacts.column_rows(np.repeat(sol.s, n_c), np.tile(sol.c, n_s), sol.V.ravel(), sol.jump.ravel())
-    rows = ((s_val, c_val, v, "jump" if jump else "continuation") for s_val, c_val, v, jump in nodes)
-    artifacts.write_csv(path, ["S", "c", "V", "region"], rows)
+    # an object array shares the two label strings: 8 bytes a node, a "<U12" array 48
+    region = np.array(["continuation", "jump"], dtype=object)[sol.jump.ravel().view(np.uint8)]
+    columns = (np.repeat(sol.s, n_c), np.tile(sol.c, n_s), sol.V.ravel(), region)
+    artifacts.write_columns(path, ["S", "c", "V", "region"], columns)
 
 
 def write_boundary_csv(path, sol: QviSolution) -> None:

@@ -11,6 +11,8 @@ from ammlab import artifacts
 
 EDGE_FLOATS = [-0.0, 5e-324, -2.2250738585072014e-308, float("inf"), float("-inf"), sys.float_info.max]
 FLOAT64 = hst.one_of(hst.floats(allow_nan=False), hst.sampled_from(EDGE_FLOATS))
+NANS = [float("nan"), -float("nan"), struct.unpack("<d", struct.pack("<Q", 0x7FF0000000000001))[0]]
+EDGE_COLUMN = np.array(EDGE_FLOATS + NANS + [0.0, 1e16, 1e-5])  # -0.0 and 0.0 in one chunk
 INT64 = hst.integers(-(2**63), 2**63 - 1)
 
 
@@ -28,11 +30,44 @@ class TestCsv:
         assert n.dtype == np.int64 and n.tolist() == [i for i, _ in rows]
         assert [bits(x) for x in value.tolist()] == [bits(v) for _, v in rows]
 
-    @pytest.mark.parametrize("n", [0, 1, 4096, 10_001])
-    def test_column_rows_match_whole_columns(self, n):
-        t = np.arange(n)
-        x = np.random.default_rng(n).random(n)
-        assert list(artifacts.column_rows(t, x)) == list(zip(t.tolist(), x.tolist()))
+    # lengths around the chunk size; a few distinct values drawn n times
+    # make every chunk repeat cells, as the QVI grid axes do
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10_001])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        ints=hst.lists(INT64, min_size=1, max_size=8),
+        floats=hst.lists(hst.one_of(hst.floats(), hst.sampled_from(EDGE_FLOATS + NANS)), min_size=1, max_size=8),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_write_columns_matches_csv_writer(self, tmp_path_factory, n, ints, floats, seed):
+        rng = np.random.default_rng(seed)
+        labels = ["jump", "continuation", "1.5", " x "]
+        columns = [
+            np.array(ints, dtype=np.int64)[rng.integers(0, len(ints), n)],
+            np.array(floats)[rng.integers(0, len(floats), n)],
+            EDGE_COLUMN[rng.integers(0, len(EDGE_COLUMN), n)],
+            rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n),
+            rng.random(n) < 0.5,
+            np.array(labels)[rng.integers(0, len(labels), n)],
+            np.array(labels, dtype=object)[rng.integers(0, len(labels), n)],
+        ]
+        header = [f"c{k}" for k in range(len(columns))]
+        d = tmp_path_factory.mktemp("cols")
+        artifacts.write_columns(d / "columns.csv", header, columns)
+        artifacts.write_csv(d / "rows.csv", header, zip(*(col.tolist() for col in columns)))
+        assert (d / "columns.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+    def test_write_columns_rejects_unequal_lengths(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal length"):
+            artifacts.write_columns(tmp_path / "x.csv", ["a", "b"], [np.arange(3), np.zeros(2)])
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb", ""])
+    def test_write_columns_refuses_cells_that_need_quoting(self, tmp_path, label):
+        with pytest.raises(ValueError, match="would need quoting"):
+            artifacts.write_columns(tmp_path / "x.csv", ["a", "b"], [np.arange(2), np.array(["ok", label])])
+        with pytest.raises(ValueError, match="would need quoting"):
+            artifacts.write_columns(tmp_path / "y.csv", ["a", label], [np.arange(2), np.arange(2)])
 
     def test_wrong_or_missing_header_rejected(self, tmp_path):
         path = tmp_path / "x.csv"

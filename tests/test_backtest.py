@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ammlab import backtest as bt
-from ammlab import ammcore, config, envsim, marketdata, neural, strategies as st
+from ammlab import ammcore, artifacts, config, envsim, marketdata, neural, strategies as st
 from ammlab.agent import Q_NET_DIMS
 from ammlab.ammcore import PoolConfig
 from ammlab.errors import EmptyData
@@ -82,6 +82,12 @@ class TestRun:
         assert len(trace) == 300
         acted = sum(r[3] for r in trace)
         assert acted == report.rebalance_count - 1  # initial placement not traced
+
+    def test_trace_csv_bytes_match_csv_writer(self, tmp_path):
+        _, trace = bt.run(st.Lancelot(), wandering_series(2, n=300), POOL, collect_trace=True)
+        envsim.write_trace_csv(tmp_path / "trace.csv", trace)
+        artifacts.write_csv(tmp_path / "ref.csv", envsim.TRACE_HEADER, trace)
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_rebalance_deviations_measured_at_trigger(self):
         closes = [100.0, 100.0, 103.0, 103.0]
@@ -258,6 +264,17 @@ class TestHeatmap:
         lines = path.read_text().splitlines()
         assert lines[0] == "theta,d_edge,q_diff"
         assert len(lines) == 5
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        grid = bt.heatmap(neural.Mlp(Q_NET_DIMS, seed=3), np.linspace(0.0, 0.1, 5), np.linspace(-1.0, 1.0, 7))
+        bt.write_heatmap_csv(tmp_path / "heatmap.csv", grid)
+        rows = [
+            (th, d, grid.q_diff[i, j].item())
+            for i, th in enumerate(grid.theta_axis.tolist())
+            for j, d in enumerate(grid.d_edge_axis.tolist())
+        ]
+        artifacts.write_csv(tmp_path / "ref.csv", ["theta", "d_edge", "q_diff"], rows)
+        assert (tmp_path / "heatmap.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestReports:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ammlab import cli, config as config_mod, neural
+from ammlab import artifacts, cli, config as config_mod, neural, regime
 from ammlab.agent import Q_NET_DIMS
 
 
@@ -136,6 +136,28 @@ class TestPipeline:
         for cell in cells:
             float(cell)
 
+    def test_estimate_half_life_matches_per_entry(self, tmp_path, monkeypatch):
+        # theta exactly 0, subnormal, and invalid entries with any theta
+        edge = np.array([0.0, 5e-324, 1e-300, 1.0, 0.05, 0.0, 0.3])
+        edge_valid = np.array([True, True, True, True, False, False, True])
+        rolling = regime.rolling_estimates
+
+        def with_edges(closes, dt, window):
+            theta, mu, sigma, valid = rolling(closes, dt, window)
+            theta[-len(edge) :], valid[-len(edge) :] = edge, edge_valid
+            return theta, mu, sigma, valid
+
+        monkeypatch.setattr(regime, "rolling_estimates", with_edges)
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "est"
+        assert cli.main(["estimate", "--config", cfg, "--out", str(out)]) == 0
+        header = ["t", "theta", "mu", "sigma", "half_life", "valid"]
+        types = [np.int64] + [np.float64] * 4 + [np.int64]
+        _, theta, _, _, half_life, valid = artifacts.read_columns(out / "regime.csv", header, types)
+        expected = [regime.half_life(th) if ok else math.inf for th, ok in zip(theta.tolist(), valid.tolist())]
+        assert not valid[0] and theta[-len(edge) :].tolist() == edge.tolist()
+        assert half_life.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
     def test_ingest(self, tmp_path):
         trades = tmp_path / "trades.csv"
         trades.write_text(
@@ -221,6 +243,8 @@ class TestPipeline:
         assert (out / "qvi_solution.csv").exists()
         meta = json.loads((out / "qvi_meta.json").read_text())
         assert meta["converged"] is True
+        assert len(meta["sup_change_history"]) == len(meta["policy_iterations"]) == meta["iterations"]
+        assert meta["sup_change_history"][-1] == meta["sup_change"]
         with open(out / "qvi_boundary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 10

@@ -176,6 +176,16 @@ class TestCsv:
         for field in ("t", "open", "high", "low", "close", "volume"):
             assert np.array_equal(getattr(back, field), getattr(series, field))
 
+    def test_bar_bytes_match_csv_writer(self, tmp_path):
+        series = md.aggregate(*trades((5, 100.0, 1.0), (7, 101.0, 2.0)))
+        md.write_bars_csv(tmp_path / "bars.csv", series)
+        rows = [
+            (int(series.t[k]), *(float(getattr(series, f)[k]) for f in ("open", "high", "low", "close", "volume")))
+            for k in range(len(series))
+        ]
+        artifacts.write_csv(tmp_path / "ref.csv", md.BAR_HEADER, rows)
+        assert (tmp_path / "bars.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

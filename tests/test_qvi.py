@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ammlab import qvi
+from ammlab import artifacts, qvi
 from ammlab.ammcore import PoolConfig
 from ammlab.synthpath import OuParams
 
@@ -132,6 +132,7 @@ class TestConvergenceReport:
         problem = qvi.QviProblem.default(OU_REF, POOL, n_s=80, n_c=10)
         sol = qvi.solve(problem, max_iters=50)
         assert sol.converged is False
+        assert sol.policy_iterations == [1] * sol.iterations
 
 
 class TestProblemValidation:
@@ -170,3 +171,22 @@ class TestExports:
         blines = b_path.read_text().splitlines()
         assert blines[0] == "c,lower_dev,upper_dev"
         assert len(blines) == 1 + 100
+
+    def test_solution_csv_bytes_match_csv_writer(self, tmp_path, reference_solution):
+        sol = reference_solution
+        rows = [
+            (s, c, sol.V[i, j].item(), "jump" if sol.jump[i, j] else "continuation")
+            for i, s in enumerate(sol.s.tolist())
+            for j, c in enumerate(sol.c.tolist())
+        ]
+        qvi.write_solution_csv(tmp_path / "sol.csv", sol)
+        artifacts.write_csv(tmp_path / "ref.csv", ["S", "c", "V", "region"], rows)
+        assert (tmp_path / "sol.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+class TestIterationHistory:
+    def test_one_entry_per_outer_iteration(self, reference_solution):
+        sol = reference_solution
+        assert len(sol.sup_change_history) == len(sol.policy_iterations) == sol.iterations
+        assert sol.sup_change_history[-1] == sol.sup_change
+        assert all(1 <= p <= 100 for p in sol.policy_iterations)
