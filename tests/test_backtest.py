@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -231,6 +232,72 @@ class TestEnvBacktestAccounting:
         # lancelot is in range at every backtest second, but not every env second
         assert report.active_fraction == 1.0
         assert ammcore.active_fraction(env_pos) < 1.0
+
+
+class TestGoldenTraces:
+    """Trace bytes and report metrics of every strategy on the smoke series.
+
+    Pinned so that a refactor of the decision loop, the strategies or the
+    features cannot change a backtest's output unnoticed.
+    """
+
+    GOLDEN = {
+        "merlin": (
+            "857f84112155cb4fa166b0e1c63268bb92089de16fc119de4a4aaf010fcd6fd0",
+            {"active_frac": 1.0, "lambda": 8.37047891894506, "rebalances": 1,
+             "fees": 2264.5599515905424, "gas": 2.0, "net_roi": 0.22625599515905423},
+        ),
+        "bedivere": (
+            "2f226240b49debd909b3443988796e58e3cdbbc30b820cbcbf6d3a1dae8ce8d1",
+            {"active_frac": 0.4889, "lambda": 22.360679774997898, "rebalances": 1,
+             "fees": 2958.148478489728, "gas": 2.0, "net_roi": 0.2956148478489728},
+        ),
+        "lancelot": (
+            "e3d514a869d2699decee8e9ca22b2e44a00ef3212fbf3d18a1bc4a5b1fe5bc45",
+            {"active_frac": 1.0, "lambda": 22.360679774997898, "rebalances": 298,
+             "fees": 6049.486582445435, "gas": 1338.5, "net_roi": 0.47109865824454344},
+        ),
+        "galahad": (
+            "c18870473a5ad6371b86a13ca163179531c468a3d3ed7b74e89c7f61cd75813f",
+            {"active_frac": 0.7856, "lambda": 22.360679774997898, "rebalances": 69,
+             "fees": 4752.801999414925, "gas": 308.0, "net_roi": 0.4444801999414925},
+        ),
+        "galahad-theta-0.02": (
+            "2a18f5729527e3f36adf0ecbc53086f6db9c5ec9667927310d1c3f9c436aca32",
+            {"active_frac": 0.6764, "lambda": 22.360679774997898, "rebalances": 63,
+             "fees": 4087.562981257131, "gas": 281.0, "net_roi": 0.3806562981257131},
+        ),
+        "rammstein": (
+            "7be61bc5300e86e418a6724264987e252454b1e5777003de2b85d459027eb57f",
+            {"active_frac": 0.61, "lambda": 22.360679774997898, "rebalances": 3473,
+             "fees": 3667.948190989047, "gas": 15626.0, "net_roi": -1.1958051809010952},
+        ),
+    }
+    FACTORIES = {
+        "merlin": st.Merlin,
+        "bedivere": st.Bedivere,
+        "lancelot": st.Lancelot,
+        "galahad": st.GalahadOu,
+        "galahad-theta-0.02": lambda: st.GalahadOu(theta_override=0.02),
+        # seed 2 both holds and recenters on the smoke series
+        "rammstein": lambda: st.PolicyStrategy(neural.Mlp(Q_NET_DIMS, seed=2)),
+    }
+
+    @pytest.fixture(scope="class")
+    def smoke(self):
+        doc = config.load(Path(__file__).parent.parent / "configs" / "smoke.json")
+        series = simulate_schedule(config.schedule(doc), 0)
+        return series, envsim.FeatureTrack(series), config.pool_config(doc), config.capital(doc)
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_trace_bytes_and_metrics(self, smoke, name, tmp_path):
+        series, features, cfg, capital = smoke
+        report, trace = bt.run(self.FACTORIES[name](), series, cfg, capital, features, collect_trace=True)
+        path = tmp_path / "trace.csv"
+        envsim.write_trace_csv(path, trace)
+        sha, metrics = self.GOLDEN[name]
+        assert report.metrics() == metrics
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
 class TestHeatmap:

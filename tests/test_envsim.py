@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ammlab import ammcore, envsim, marketdata, regime, synthpath
 from ammlab.ammcore import PoolConfig
@@ -63,6 +65,63 @@ class TestBuildState:
         v = envsim.build_state(100.0, pos, valid_estimate(theta=0.05), 0.01)
         assert v.shape == (envsim.STATE_DIM,) and v.dtype == np.float64
         assert v[2] == 0.05 and v[7] == 1.0
+
+
+def reference_state(s, pos, est, recent_vol):
+    """The observation as built from one RegimeEstimate and one recent vol."""
+    d_edge = (s - pos.center) / (pos.center * pos.width)
+    return np.array(
+        [
+            s / pos.center - 1.0,
+            min(max(d_edge, -1.0), 1.0),
+            est.theta if est.valid else 0.0,
+            (est.mu - s) / s if est.valid else 0.0,
+            min(est.sigma / s, envsim.SIGMA_NORM_CLIP) if est.valid else 0.0,
+            ammcore.active_fraction(pos),
+            min(max(recent_vol, 0.0), envsim.RECENT_VOL_CLIP),
+            1.0 if ammcore.in_range(pos, s) else 0.0,
+        ]
+    )
+
+
+def finite(lo, hi):
+    return hst.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+class TestBuildStateMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=hst.data())
+    def test_bit_for_bit(self, data):
+        n = data.draw(hst.integers(1, 6))
+
+        def column(elements):
+            return np.array(data.draw(hst.lists(elements, min_size=n, max_size=n)))
+
+        closes = column(finite(1.0, 1e4))
+        features = envsim.FeatureTrack(series_from_closes(closes))
+        features.theta = column(finite(0.0, 1.0))
+        features.mu = column(finite(0.5, 2e4))
+        features.sigma = column(finite(0.0, 5e3))  # sigma / s up to 5000: clipped
+        features.valid = column(hst.booleans()).astype(bool)
+        features.recent_vol = column(finite(-0.05, 1.0))  # clipped on both sides
+        i = data.draw(hst.integers(0, n - 1))
+        s = float(closes[i])
+        width = data.draw(finite(1e-4, 0.05))
+        # d_edge near the drawn value: in range for |d| <= 1, out beyond
+        d = data.draw(finite(-3.0, 3.0))
+        pos = ammcore.Position(center=s / (1.0 + d * width), width=width, capital=1e4)
+        pos.active_seconds, pos.total_seconds = data.draw(hst.sampled_from([(0, 0), (3, 7), (5, 5)]))
+
+        est = regime.RegimeEstimate(
+            theta=float(features.theta[i]),
+            mu=float(features.mu[i]),
+            sigma=float(features.sigma[i]),
+            valid=bool(features.valid[i]),
+        )
+        expected = reference_state(s, pos, est, float(features.recent_vol[i]))
+        got = envsim.build_state(s, pos, features.estimate(i), float(features.recent_vol[i]))
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestStep:
