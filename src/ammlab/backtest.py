@@ -1,8 +1,9 @@
 """Strategy backtests, gas-cost sweeps, and decision-boundary grids.
 
 The runner walks a bar series second by second: the strategy decides
-from the current bar, and ammcore.step applies the decision and accrues
-that same bar's fees (its docstring states the fee-bar convention).
+from the current bar's index, and ammcore.step applies the decision and
+accrues that same bar's fees (its docstring states the fee-bar
+convention).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .ammcore import PoolConfig
 from .envsim import FeatureTrack
 from .errors import EmptyData
 from .marketdata import BarSeries
-from .strategies import DecisionContext, Hold, RecenterAt, Strategy
+from .strategies import Strategy
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,7 @@ def run(
     trace = []
     for i in range(len(series)):
         price = float(series.close[i])
-        decision = strategy.decide(
-            DecisionContext(
-                index=i,
-                price=price,
-                position=pos,
-                estimate=features.estimate(i),
-                recent_vol=float(features.recent_vol[i]),
-            )
-        )
-        if not isinstance(decision, (Hold, RecenterAt)):
-            raise TypeError(f"unknown decision {decision!r}")
-        target = decision.price if isinstance(decision, RecenterAt) else None
+        target = strategy.decide(i, price, pos, features)
         fee, gas = ammcore.step(pos, target, price, float(series.volume[i]), cfg)
         if collect_trace:
             trace.append(envsim.trace_row(series, features, i, pos, int(target is not None), fee, gas, 0.0))

@@ -84,6 +84,10 @@ def _segment(series, doc):
     return {"train": train, "val": val, "test": test}[name]
 
 
+def _features(series, doc):
+    return envsim.FeatureTrack(series, config_mod.estimate_window(doc))
+
+
 def _write_manifest(out_dir, command, cfg_hash, seed, outputs, started):
     """Write manifest.json: what ran, what it wrote, and where the time went.
 
@@ -140,8 +144,7 @@ def cmd_synth(args, doc, seed, cfg_hash, out_dir):
 
 def cmd_estimate(args, doc, seed, cfg_hash, out_dir):
     series = _load_series(doc, seed)
-    window = doc.get("estimate", {}).get("window", regime.DEFAULT_WINDOW)
-    theta, mu, sigma, valid = regime.rolling_estimates(series.close, 1.0, window)
+    theta, mu, sigma, valid = regime.rolling_estimates(series.close, 1.0, config_mod.estimate_window(doc))
     # rolling_estimates clips theta to >= 0, so only theta == 0 and invalid entries are inf
     with np.errstate(divide="ignore", over="ignore"):
         half_life = np.where(valid & (theta > 0), math.log(2.0) / theta, math.inf)
@@ -162,6 +165,7 @@ def cmd_train(args, doc, seed, cfg_hash, out_dir):
         config_mod.reward_params(doc),
         capital=config_mod.capital(doc),
         episode_length=tc.episode_length,
+        features=_features(series, doc),
     )
     agent, log_rows = agent_mod.train(env, tc)
     ckpt = os.path.join(out_dir, "checkpoint.json")
@@ -186,6 +190,7 @@ def cmd_backtest(args, doc, seed, cfg_hash, out_dir):
         series,
         config_mod.pool_config(doc),
         capital=config_mod.capital(doc),
+        features=_features(series, doc),
         collect_trace=True,
         config_hash=cfg_hash,
     )
@@ -204,7 +209,7 @@ def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
     factories = [_strategy_factory(s, args.checkpoint) for s in specs]
     series = _segment(_load_series(doc, seed), doc)
     rows, break_evens = backtest_mod.gas_sweep(
-        factories, series, levels, config_mod.pool_config(doc), config_mod.capital(doc)
+        factories, series, levels, config_mod.pool_config(doc), config_mod.capital(doc), _features(series, doc)
     )
 
     sweep_path = os.path.join(out_dir, "gas_sweep.csv")
@@ -222,7 +227,7 @@ def cmd_qvi(args, doc, seed, cfg_hash, out_dir):
         config_mod.pool_config(doc),
         n_s=q.get("n_s", 400),
         n_c=q.get("n_c", 100),
-        span_sigmas=q.get("span_sigmas", 5.0),
+        span_sigmas=q.get("span_sigmas", qvi.MIN_SPAN_SIGMAS),
         rho=q.get("rho", qvi.DEFAULT_RHO),
         capital=config_mod.capital(doc),
         ref_volume=q.get("ref_volume", 50_000.0),
@@ -255,7 +260,7 @@ def cmd_heatmap(args, doc, seed, cfg_hash, out_dir):
         raise config_mod.ConfigError("heatmap needs --checkpoint")
     net, _, _ = neural.load_checkpoint(args.checkpoint)
     series = _load_series(doc, seed)
-    features = envsim.FeatureTrack(series)
+    features = _features(series, doc)
     h = doc.get("heatmap", {})
     theta_axis = np.linspace(*config_mod.heatmap_theta_range(doc), h.get("theta_points", 41))
     d_edge_axis = np.linspace(-1.0, 1.0, h.get("d_edge_points", 41))

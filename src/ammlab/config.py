@@ -13,6 +13,7 @@ import json
 
 import jsonschema
 
+from . import qvi, regime
 from .agent import TrainConfig
 from .ammcore import PoolConfig
 from .envsim import RewardParams
@@ -159,7 +160,7 @@ SCHEMA = {
                 "cost": _NONNEG,
                 "n_s": {"type": "integer", "minimum": 3},
                 "n_c": {"type": "integer", "minimum": 3},
-                "span_sigmas": {"type": "number", "minimum": 5},
+                "span_sigmas": {"type": "number", "minimum": qvi.MIN_SPAN_SIGMAS},
                 "tol": _POS,
                 "max_iters": _POSINT,
             },
@@ -203,6 +204,9 @@ def validate(doc: dict) -> dict:
     splits = doc.get("data", {}).get("splits")
     if splits is not None and abs(sum(splits) - 1.0) > 1e-9:
         raise ConfigError("data.splits must sum to 1")
+    segment = doc.get("backtest", {}).get("segment")
+    if splits is None and segment in ("train", "val", "test"):
+        raise ConfigError(f"backtest.segment {segment!r} needs data.splits")
     theta_min, theta_max = heatmap_theta_range(doc)
     if theta_min > theta_max:
         raise ConfigError(f"heatmap.theta_min {theta_min} exceeds heatmap.theta_max {theta_max}")
@@ -233,6 +237,10 @@ def pool_config(doc: dict) -> PoolConfig:
 
 def capital(doc: dict) -> float:
     return doc.get("pool", {}).get("capital", 10_000.0)
+
+
+def estimate_window(doc: dict) -> int:
+    return doc.get("estimate", {}).get("window", regime.DEFAULT_WINDOW)
 
 
 def reward_params(doc: dict) -> RewardParams:

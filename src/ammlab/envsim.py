@@ -12,8 +12,8 @@ in-range bonus:
         + active_bonus * in_range(next bar)
 
 Regime estimates and realized volatility are functions of the price
-series alone, so they are precomputed for the whole series up front and
-looked up per step.
+series alone, so a FeatureTrack precomputes them for the whole series up
+front and build_state reads them by bar index.
 """
 
 from __future__ import annotations
@@ -45,27 +45,30 @@ class RewardParams:
             raise ValueError("active_bonus must be >= 0")
 
 
-def build_state(
-    s: float,
-    pos: Position,
-    est: regime.RegimeEstimate,
-    recent_vol: float,
-) -> np.ndarray:
-    """The float64 observation row; fallbacks keep every entry finite.
+def build_state(pos: Position, features: FeatureTrack, i: int) -> np.ndarray:
+    """The float64 observation row at bar i; fallbacks keep every entry finite.
 
     Order: delta_p, d_edge, theta, delta_mu, sigma_norm, active_frac,
-    recent_vol, in_range.
+    recent_vol, in_range. An invalid estimate zeroes theta, delta_mu and
+    sigma_norm.
     """
+    s = float(features.series.close[i])
+    if features.valid[i]:
+        theta = float(features.theta[i])
+        delta_mu = (float(features.mu[i]) - s) / s
+        sigma_norm = min(float(features.sigma[i]) / s, SIGMA_NORM_CLIP)
+    else:
+        theta = delta_mu = sigma_norm = 0.0
     d_edge = (s - pos.center) / (pos.center * pos.width)
     return np.array(
         [
             s / pos.center - 1.0,
             min(max(d_edge, -1.0), 1.0),
-            est.theta if est.valid else 0.0,
-            (est.mu - s) / s if est.valid else 0.0,
-            min(est.sigma / s, SIGMA_NORM_CLIP) if est.valid else 0.0,
+            theta,
+            delta_mu,
+            sigma_norm,
             ammcore.active_fraction(pos),
-            min(max(recent_vol, 0.0), RECENT_VOL_CLIP),
+            min(max(float(features.recent_vol[i]), 0.0), RECENT_VOL_CLIP),
             1.0 if ammcore.in_range(pos, s) else 0.0,
         ]
     )
@@ -95,24 +98,12 @@ def rolling_log_return_vol(closes: np.ndarray, window: int = VOL_WINDOW) -> np.n
 
 
 class FeatureTrack:
-    """Per-bar regime estimates and realized vol for one series."""
+    """Per-bar regime estimates and realized vol for one series, as columns."""
 
-    def __init__(self, series: BarSeries, dt: float = 1.0, window: int = regime.DEFAULT_WINDOW):
+    def __init__(self, series: BarSeries, window: int = regime.DEFAULT_WINDOW):
         self.series = series
-        th, mu, sg, va = regime.rolling_estimates(series.close, dt, window)
-        self.theta = th
-        self.mu = mu
-        self.sigma = sg
-        self.valid = va
+        self.theta, self.mu, self.sigma, self.valid = regime.rolling_estimates(series.close, 1.0, window)
         self.recent_vol = rolling_log_return_vol(series.close)
-
-    def estimate(self, i: int) -> regime.RegimeEstimate:
-        return regime.RegimeEstimate(
-            theta=float(self.theta[i]),
-            mu=float(self.mu[i]),
-            sigma=float(self.sigma[i]),
-            valid=bool(self.valid[i]),
-        )
 
 
 TRACE_HEADER = ["t", "price", "center", "action", "fee", "gas", "reward", "theta", "in_range"]
@@ -187,15 +178,7 @@ class LpEnv:
         self._terminal = False
         self.pos = ammcore.open_position(float(self.series.close[start_index]), self.pool, self.capital)
         self.trace = []
-        return self._state_at(self._i)
-
-    def _state_at(self, i: int) -> np.ndarray:
-        return build_state(
-            float(self.series.close[i]),
-            self.pos,
-            self.features.estimate(i),
-            float(self.features.recent_vol[i]),
-        )
+        return build_state(self.pos, self.features, self._i)
 
     def step(self, action: int):
         """Apply hold (0) or recenter (1); returns (next_state, reward, terminal)."""
@@ -210,7 +193,7 @@ class LpEnv:
         fee, gas = ammcore.step(self.pos, target, price_next, float(self.series.volume[self._i]), self.pool)
 
         self._terminal = self._steps >= self.episode_length or self._i >= len(self.series) - 1
-        next_state = self._state_at(self._i)
+        next_state = build_state(self.pos, self.features, self._i)
         rp = self.reward_params
         reward = rp.scale * (fee - gas) / self.capital + rp.active_bonus * float(next_state[-1])
 

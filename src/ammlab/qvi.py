@@ -31,6 +31,9 @@ from .ammcore import PoolConfig
 from .synthpath import OuParams
 
 DEFAULT_RHO = -math.log(0.99)  # one-second discounting matched to gamma=0.99
+# The S-grid spans at least mu +/- MIN_SPAN_SIGMAS * sigma/sqrt(2 theta), the
+# stationary OU spread, so the reflecting edges sit far from the band.
+MIN_SPAN_SIGMAS = 5.0
 
 
 @dataclass(frozen=True)
@@ -68,9 +71,9 @@ class QviProblem:
         if self.rho <= 0:
             raise ValueError("rho must be > 0")
         if self.ou.theta > 0 and self.ou.sigma > 0:
-            half_span = 5.0 * self.ou.sigma / math.sqrt(2.0 * self.ou.theta)
+            half_span = MIN_SPAN_SIGMAS * self.ou.sigma / math.sqrt(2.0 * self.ou.theta)
             if self.s_grid.lo > self.ou.mu - half_span or self.s_grid.hi < self.ou.mu + half_span:
-                raise ValueError("S-grid must span mu +/- 5 sigma/sqrt(2 theta)")
+                raise ValueError(f"S-grid must span mu +/- {MIN_SPAN_SIGMAS:g} sigma/sqrt(2 theta)")
 
     @classmethod
     def default(
@@ -79,7 +82,7 @@ class QviProblem:
         pool: PoolConfig | None = None,
         n_s: int = 400,
         n_c: int = 100,
-        span_sigmas: float = 5.0,
+        span_sigmas: float = MIN_SPAN_SIGMAS,
         **kwargs,
     ) -> "QviProblem":
         pool = pool or PoolConfig()

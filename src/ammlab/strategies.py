@@ -1,15 +1,15 @@
 """Baseline range-management strategies plus the learned-policy wrapper.
 
 All strategies decide from information available at the current second;
-the single exception is the omniscient oracle, which fixes its range
-from the whole series up front and is flagged as such. Decisions are one
-of: hold, or recenter at a price (the current one or a chosen one).
+the single exception is the omniscient Merlin, which fixes its range
+from the whole series up front. A decision is the price to recenter at
+(the current one or a chosen one), or None to hold. Strategies read the
+regime features of bar i from the run's FeatureTrack by index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,38 +17,14 @@ from . import ammcore, envsim, neural
 from .agent import Q_NET_DIMS
 from .errors import ShapeError
 from .marketdata import BarSeries
-from .regime import RegimeEstimate
 
 MERLIN_MIN_WIDTH = 1e-4
-
-
-@dataclass(frozen=True)
-class Hold:
-    pass
-
-
-@dataclass(frozen=True)
-class RecenterAt:
-    price: float
-
-
-HOLD = Hold()
-
-
-@dataclass(frozen=True)
-class DecisionContext:
-    index: int
-    price: float
-    position: ammcore.Position
-    estimate: RegimeEstimate
-    recent_vol: float
 
 
 class Strategy:
     """Base: place at the configured width around the first price, then hold."""
 
     name = "hold"
-    oracle = False
 
     def prepare(self, series: BarSeries) -> None:
         """Called before the run; only oracle strategies may look at it."""
@@ -56,21 +32,20 @@ class Strategy:
     def initial_range(self, s0: float, default_width: float) -> tuple[float, float]:
         return s0, default_width
 
-    def decide(self, ctx: DecisionContext):
-        """HOLD or RecenterAt(price), for the current second.
+    def decide(self, i: int, price: float, pos: ammcore.Position, features: envsim.FeatureTrack) -> float | None:
+        """The price to recenter at for bar i, whose close is `price`, or None to hold.
 
         Decisions must not depend on gas: backtest.gas_sweep prices every
         gas level from one run per strategy, and a differential test
         against per-level runs enforces it.
         """
-        return HOLD
+        return None
 
 
 class Merlin(Strategy):
     """Omniscient passive bound: one range spanning the whole realized path."""
 
     name = "merlin"
-    oracle = True
 
     def __init__(self):
         self.center = None
@@ -100,10 +75,8 @@ class Lancelot(Strategy):
 
     name = "lancelot"
 
-    def decide(self, ctx: DecisionContext):
-        if not ammcore.in_range(ctx.position, ctx.price):
-            return RecenterAt(ctx.price)
-        return HOLD
+    def decide(self, i, price, pos, features):
+        return None if ammcore.in_range(pos, price) else price
 
 
 class GalahadOu(Strategy):
@@ -124,22 +97,22 @@ class GalahadOu(Strategy):
         self.horizon = horizon
         self.theta_override = theta_override
 
-    def decide(self, ctx: DecisionContext):
-        est = ctx.estimate
+    def decide(self, i, price, pos, features):
+        if ammcore.in_range(pos, price):
+            return None
         if self.theta_override is not None:
             theta = self.theta_override
-        elif est.valid:
-            theta = est.theta
+        elif features.valid[i]:
+            theta = float(features.theta[i])
         else:
-            return HOLD
+            return None
         decay = math.exp(-theta * self.horizon)
-        # decay == 1 collapses the forecast to the price exactly
-        forecast = ctx.price if decay == 1.0 else est.mu + (ctx.price - est.mu) * decay
-        pos = ctx.position
-        forecast_out = not (pos.lower <= forecast <= pos.upper)
-        if not ammcore.in_range(pos, ctx.price) and forecast_out:
-            return RecenterAt(forecast)
-        return HOLD
+        if decay == 1.0:  # the forecast collapses to the price exactly
+            forecast = price
+        else:
+            mu = float(features.mu[i])
+            forecast = mu + (price - mu) * decay
+        return None if ammcore.in_range(pos, forecast) else forecast
 
 
 class PolicyStrategy(Strategy):
@@ -157,10 +130,9 @@ class PolicyStrategy(Strategy):
         net, _, _ = neural.load_checkpoint(path)
         return cls(net)
 
-    def decide(self, ctx: DecisionContext):
-        state = envsim.build_state(ctx.price, ctx.position, ctx.estimate, ctx.recent_vol)
-        q = neural.forward(self.net, state)
-        return RecenterAt(ctx.price) if int(np.argmax(q)) == 1 else HOLD
+    def decide(self, i, price, pos, features):
+        q = neural.forward(self.net, envsim.build_state(pos, features, i))
+        return price if int(np.argmax(q)) == 1 else None
 
 
 def _policy(checkpoint: str | None = None) -> PolicyStrategy:

@@ -1,6 +1,7 @@
 import copy
 import csv
 import filecmp
+import inspect
 import json
 import math
 import os
@@ -15,8 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ammlab import artifacts, cli, config as config_mod, neural, regime
+from ammlab import artifacts, cli, config as config_mod, neural, regime, strategies
 from ammlab.agent import Q_NET_DIMS
+
+
+def csv_column(path, name):
+    with open(path, newline="") as fh:
+        return np.array([float(row[name]) for row in csv.DictReader(fh)])
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -108,6 +114,35 @@ class TestValidation:
     def test_pool_bounds_match_pool_config(self):
         doc = config_mod.validate(base_config(pool={"dex_cex_ratio": 1.0, "width": 0.999, "fee_tier": 0.999}))
         assert config_mod.pool_config(doc).dex_cex_ratio == 1.0
+
+    def test_strategy_params_match_builders(self):
+        assert list(strategies._BUILDERS) == config_mod.STRATEGY_NAMES
+        for name, builder in strategies._BUILDERS.items():
+            keywords = {
+                p.name
+                for p in inspect.signature(builder).parameters.values()
+                if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+            }
+            assert set(config_mod._STRATEGY_PARAMS[name]) == keywords, name
+
+    @pytest.mark.parametrize("segment", ["train", "val", "test"])
+    def test_segment_without_splits_exits_one(self, tmp_path, segment):
+        cfg = write_config(tmp_path, base_config(backtest={"segment": segment}))
+        out = tmp_path / "bt"
+        assert cli.main(["backtest", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "backtest, splits, bars",
+        [(None, None, 800), ({"segment": "all"}, None, 800), ({"segment": "val"}, [0.5, 0.25, 0.25], 200)],
+    )
+    def test_segment_bars(self, tmp_path, backtest, splits, bars):
+        doc = base_config(**({"backtest": backtest} if backtest else {}))
+        if splits:
+            doc["data"]["splits"] = splits
+        out = tmp_path / "bt"
+        assert cli.main(["backtest", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        assert len((out / "trace.csv").read_text().splitlines()) == 1 + bars
 
 
 class TestPipeline:
@@ -203,6 +238,15 @@ class TestPipeline:
         assert report["strategy"] == "lancelot"
         assert report["metrics"]["active_frac"] == 1.0
         assert (out / "trace.csv").exists()
+
+    def test_estimate_window_reaches_backtest(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(estimate={"window": 600}))
+        assert cli.main(["estimate", "--config", cfg, "--out", str(tmp_path / "est")]) == 0
+        assert cli.main(["backtest", "--config", cfg, "--out", str(tmp_path / "bt")]) == 0
+        regime_csv = tmp_path / "est" / "regime.csv"
+        valid = csv_column(regime_csv, "valid") == 1.0
+        expected = np.where(valid, csv_column(regime_csv, "theta"), 0.0)
+        assert csv_column(tmp_path / "bt" / "trace.csv", "theta").tolist() == expected.tolist()
 
     def test_strategy_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, base_config(strategy={"name": "lancelot"}))

@@ -22,47 +22,51 @@ def series_from_closes(closes, volume=0.0):
     return marketdata.BarSeries(t=t, open=c, high=c, low=c, close=c, volume=np.full(len(c), float(volume)))
 
 
-def valid_estimate(theta=0.05, mu=100.0, sigma=0.5):
-    return regime.RegimeEstimate(theta=theta, mu=mu, sigma=sigma, valid=True)
+def one_bar(s, theta=0.05, mu=100.0, sigma=0.5, valid=True, recent_vol=0.0):
+    """The FeatureTrack of a one-bar series closing at s, with the given estimate."""
+    features = envsim.FeatureTrack(series_from_closes([s]))
+    features.theta[0], features.mu[0], features.sigma[0], features.valid[0] = theta, mu, sigma, valid
+    features.recent_vol[0] = recent_vol
+    return features
 
 
 class TestBuildState:
     def test_centered(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        delta_p, d_edge, *_, in_range = envsim.build_state(100.0, pos, valid_estimate(mu=100.0), 0.0)
+        delta_p, d_edge, *_, in_range = envsim.build_state(pos, one_bar(100.0, mu=100.0), 0)
         assert delta_p == 0.0
         assert d_edge == 0.0
         assert in_range == 1.0
 
     def test_boundary_hits_edge_exactly(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        _, d_edge, *_, in_range = envsim.build_state(100.0 * 1.002, pos, valid_estimate(), 0.0)
+        _, d_edge, *_, in_range = envsim.build_state(pos, one_bar(100.0 * 1.002), 0)
         assert d_edge == 1.0
         assert in_range == 1.0
 
     def test_beyond_boundary_clips(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
         s = 100.0 * 1.004
-        delta_p, d_edge, *_, in_range = envsim.build_state(s, pos, valid_estimate(), 0.0)
+        delta_p, d_edge, *_, in_range = envsim.build_state(pos, one_bar(s), 0)
         assert d_edge == 1.0
         assert in_range == 0.0
         assert delta_p == pytest.approx(0.004, rel=1e-9)
 
     def test_invalid_estimate_fallbacks(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        bad = regime.RegimeEstimate(theta=0.0, mu=100.0, sigma=0.0, valid=False)
-        _, _, theta, delta_mu, sigma_norm, *_ = envsim.build_state(100.0, pos, bad, 0.0)
+        bad = one_bar(100.0, theta=0.0, mu=100.0, sigma=0.0, valid=False)
+        _, _, theta, delta_mu, sigma_norm, *_ = envsim.build_state(pos, bad, 0)
         assert theta == 0.0 and delta_mu == 0.0 and sigma_norm == 0.0
 
     def test_clips(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        *_, sigma_norm, _, recent_vol, _ = envsim.build_state(100.0, pos, valid_estimate(sigma=500.0), 7.0)
+        *_, sigma_norm, _, recent_vol, _ = envsim.build_state(pos, one_bar(100.0, sigma=500.0, recent_vol=7.0), 0)
         assert sigma_norm == envsim.SIGMA_NORM_CLIP
         assert recent_vol == envsim.RECENT_VOL_CLIP
 
     def test_vector_order(self):
         pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        v = envsim.build_state(100.0, pos, valid_estimate(theta=0.05), 0.01)
+        v = envsim.build_state(pos, one_bar(100.0, theta=0.05, recent_vol=0.01), 0)
         assert v.shape == (envsim.STATE_DIM,) and v.dtype == np.float64
         assert v[2] == 0.05 and v[7] == 1.0
 
@@ -119,7 +123,7 @@ class TestBuildStateMatchesReference:
             valid=bool(features.valid[i]),
         )
         expected = reference_state(s, pos, est, float(features.recent_vol[i]))
-        got = envsim.build_state(s, pos, features.estimate(i), float(features.recent_vol[i]))
+        got = envsim.build_state(pos, features, i)
         assert got.dtype == np.float64
         assert got.tobytes() == expected.tobytes()
 

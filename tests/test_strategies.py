@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ammlab import ammcore, backtest, marketdata, neural, regime, strategies as st
+from ammlab import ammcore, backtest, envsim, marketdata, neural, strategies as st
 from ammlab.agent import Q_NET_DIMS
 from ammlab.ammcore import PoolConfig
 from ammlab.errors import ShapeError
@@ -19,9 +19,11 @@ def series_from_closes(closes, volume=1000.0):
 
 
 def ctx_for(price, center, theta=0.05, mu=100.0, sigma=0.5, valid=True, width=0.002):
+    """decide's arguments for bar 0 of a one-bar series with the given estimate."""
     pos = ammcore.Position(center=center, width=width, capital=1e4)
-    est = regime.RegimeEstimate(theta=theta, mu=mu, sigma=sigma, valid=valid)
-    return st.DecisionContext(index=0, price=price, position=pos, estimate=est, recent_vol=0.0)
+    features = envsim.FeatureTrack(series_from_closes([price]))
+    features.theta[0], features.mu[0], features.sigma[0], features.valid[0] = theta, mu, sigma, valid
+    return 0, price, pos, features
 
 
 def constant_policy_net(q0, q1):
@@ -57,13 +59,13 @@ class TestMerlin:
     def test_never_adjusts(self):
         m = st.Merlin()
         m.prepare(series_from_closes([100.0, 90.0, 110.0]))
-        assert isinstance(m.decide(ctx_for(90.0, 100.0)), st.Hold)
+        assert m.decide(*ctx_for(90.0, 100.0)) is None
 
 
 class TestBedivere:
     def test_holds_out_of_range(self):
         b = st.Bedivere()
-        assert isinstance(b.decide(ctx_for(150.0, 100.0)), st.Hold)
+        assert b.decide(*ctx_for(150.0, 100.0)) is None
 
     def test_single_rebalance_per_run(self):
         series = series_from_closes(100.0 + np.sin(np.arange(300) / 10.0))
@@ -73,11 +75,11 @@ class TestBedivere:
 
 class TestLancelot:
     def test_holds_in_range(self):
-        assert isinstance(st.Lancelot().decide(ctx_for(100.1, 100.0)), st.Hold)
+        assert st.Lancelot().decide(*ctx_for(100.1, 100.0)) is None
 
     def test_recenters_when_out(self):
-        decision = st.Lancelot().decide(ctx_for(100.5, 100.0))
-        assert decision == st.RecenterAt(100.5)
+        decision = st.Lancelot().decide(*ctx_for(100.5, 100.0))
+        assert decision == 100.5
 
     def test_always_active_structurally(self):
         rng = np.random.default_rng(0)
@@ -89,21 +91,21 @@ class TestLancelot:
 class TestGalahadOu:
     def test_invalid_estimate_holds(self):
         g = st.GalahadOu()
-        assert isinstance(g.decide(ctx_for(100.5, 100.0, valid=False)), st.Hold)
+        assert g.decide(*ctx_for(100.5, 100.0, valid=False)) is None
 
     def test_forecast_value(self):
         g = st.GalahadOu(horizon=60.0)
-        decision = g.decide(ctx_for(104.0, 100.0, theta=0.01, mu=100.0))
-        assert isinstance(decision, st.RecenterAt)
-        assert decision.price == pytest.approx(100.0 + 4.0 * math.exp(-0.6), abs=1e-6)
-        assert decision.price == pytest.approx(102.195, abs=1e-3)
+        decision = g.decide(*ctx_for(104.0, 100.0, theta=0.01, mu=100.0))
+        assert decision is not None
+        assert decision == pytest.approx(100.0 + 4.0 * math.exp(-0.6), abs=1e-6)
+        assert decision == pytest.approx(102.195, abs=1e-3)
 
     def test_large_theta_targets_mean(self):
         # center far above the mean: the forecast collapses onto mu
         g = st.GalahadOu(horizon=60.0)
-        decision = g.decide(ctx_for(104.0, 105.0, theta=1.0, mu=100.0))
-        assert isinstance(decision, st.RecenterAt)
-        assert decision.price == pytest.approx(100.0, abs=1e-12)
+        decision = g.decide(*ctx_for(104.0, 105.0, theta=1.0, mu=100.0))
+        assert decision is not None
+        assert decision == pytest.approx(100.0, abs=1e-12)
 
     def test_theta_zero_degenerates_to_lancelot(self):
         rng = np.random.default_rng(5)
@@ -116,21 +118,21 @@ class TestGalahadOu:
 
     def test_in_range_forecast_holds(self):
         g = st.GalahadOu(horizon=60.0)
-        assert isinstance(g.decide(ctx_for(100.1, 100.0, theta=0.01)), st.Hold)
+        assert g.decide(*ctx_for(100.1, 100.0, theta=0.01)) is None
 
 
 class TestPolicyStrategy:
     def test_constant_hold(self):
         pol = st.PolicyStrategy(constant_policy_net(0.0, -1.0))
-        assert isinstance(pol.decide(ctx_for(105.0, 100.0)), st.Hold)
+        assert pol.decide(*ctx_for(105.0, 100.0)) is None
 
     def test_constant_recenter(self):
         pol = st.PolicyStrategy(constant_policy_net(-1.0, 0.0))
-        assert isinstance(pol.decide(ctx_for(100.0, 100.0)), st.RecenterAt)
+        assert pol.decide(*ctx_for(100.0, 100.0)) is not None
 
     def test_tie_holds(self):
         pol = st.PolicyStrategy(constant_policy_net(0.0, 0.0))
-        assert isinstance(pol.decide(ctx_for(100.0, 100.0)), st.Hold)
+        assert pol.decide(*ctx_for(100.0, 100.0)) is None
 
     def test_shape_check(self):
         with pytest.raises(ShapeError):
@@ -141,7 +143,7 @@ class TestPolicyStrategy:
         path = tmp_path / "ckpt.json"
         neural.save_checkpoint(path, net)
         pol = st.PolicyStrategy.from_checkpoint(path)
-        assert isinstance(pol.decide(ctx_for(100.0, 100.0)), st.RecenterAt)
+        assert pol.decide(*ctx_for(100.0, 100.0)) is not None
 
 
 class TestNoLookAhead:
