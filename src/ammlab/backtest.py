@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ammcore, artifacts, envsim, neural
+from . import ammcore, artifacts, neural
 from .ammcore import PoolConfig
 from .envsim import FeatureTrack
 from .errors import EmptyData
@@ -58,10 +58,16 @@ def run(
     cfg: PoolConfig | None = None,
     capital: float = 10_000.0,
     features: FeatureTrack | None = None,
-    collect_trace: bool = False,
     config_hash: str = "",
 ):
-    """Backtest one strategy over one series; returns (report, trace rows)."""
+    """Backtest one strategy over one series; returns (report, trace).
+
+    The trace holds one row per bar as equal-length numpy columns keyed by
+    envsim.TRACE_HEADER. ``action`` is 1 on the bars where the strategy
+    recentered; the opening placement is not a row. ``center``, ``fee``,
+    ``gas`` and ``in_range`` are taken after that bar's decision, ``theta``
+    is 0.0 where the estimate is invalid, and ``reward`` is always 0.0.
+    """
     if len(series) == 0:
         raise EmptyData("cannot backtest an empty series")
     cfg = cfg or PoolConfig()
@@ -72,13 +78,16 @@ def run(
     center0, width0 = strategy.initial_range(s0, cfg.width)
     pos = ammcore.open_position(center0, cfg, capital, width=width0)
 
-    trace = []
-    for i in range(len(series)):
+    n = len(series)
+    center, fee, gas = np.empty(n), np.empty(n), np.empty(n)
+    action, in_range = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for i in range(n):
         price = float(series.close[i])
         target = strategy.decide(i, price, pos, features)
-        fee, gas = ammcore.step(pos, target, price, float(series.volume[i]), cfg)
-        if collect_trace:
-            trace.append(envsim.trace_row(series, features, i, pos, int(target is not None), fee, gas, 0.0))
+        fee[i], gas[i] = ammcore.step(pos, target, price, float(series.volume[i]), cfg)
+        center[i] = pos.center
+        action[i] = target is not None
+        in_range[i] = ammcore.in_range(pos, price)
 
     report = BacktestReport(
         strategy=strategy.name,
@@ -91,23 +100,29 @@ def run(
         capital=capital,
         config_hash=config_hash,
     )
+    trace = {
+        "t": series.t,
+        "price": series.close,
+        "center": center,
+        "action": action,
+        "fee": fee,
+        "gas": gas,
+        "reward": np.zeros(n),
+        "theta": np.where(features.valid, features.theta, 0.0),
+        "in_range": in_range,
+    }
     return report, trace
 
 
 def rebalance_deviations(trace) -> list[float]:
-    """Relative deviations |S/c - 1| at each rebalance event of a trace.
+    """Relative deviations |S/c - 1| at each recenter of a backtest trace.
 
     The deviation is measured against the center held *before* the
-    rebalance was applied, i.e. the trigger depth.
+    recenter was applied, i.e. the trigger depth. A recenter at bar 0 is
+    skipped: the trace holds no center before it.
     """
-    out = []
-    prev_center = None
-    for row in trace:
-        _, price, center, acted, *_ = row
-        if acted and prev_center is not None:
-            out.append(abs(price / prev_center - 1.0))
-        prev_center = center
-    return out
+    i = np.flatnonzero(trace["action"][1:]) + 1
+    return np.abs(trace["price"][i] / trace["center"][i - 1] - 1.0).tolist()
 
 
 def gas_sweep(

@@ -41,25 +41,27 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ammlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, help_text in [
-        ("ingest", "aggregate a trade CSV into 1 Hz bars"),
-        ("synth", "generate a synthetic bar series from the configured schedule"),
-        ("estimate", "rolling regime estimates for every bar"),
-        ("train", "train the rebalancing agent and write a checkpoint"),
-        ("backtest", "run one strategy over the configured data"),
-        ("sweep-gas", "backtest strategies across gas-cost levels"),
-        ("qvi", "solve the impulse-control oracle and export value/boundary"),
-        ("heatmap", "export the Q-difference grid for a checkpoint"),
+    flags = {
+        "--strategy": dict(choices=config_mod.STRATEGY_NAMES, help="strategy name override"),
+        "--checkpoint": dict(help="policy checkpoint path"),
+        "--profile": dict(choices=["smoke", "full"], help="training profile"),
+    }
+    for name, help_text, own_flags in [
+        ("ingest", "aggregate a trade CSV into 1 Hz bars", []),
+        ("synth", "generate a synthetic bar series from the configured schedule", []),
+        ("estimate", "rolling regime estimates for every bar", []),
+        ("train", "train the rebalancing agent and write a checkpoint", ["--profile"]),
+        ("backtest", "run one strategy over the configured data", ["--strategy", "--checkpoint"]),
+        ("sweep-gas", "backtest strategies across gas-cost levels", ["--checkpoint"]),
+        ("qvi", "solve the impulse-control oracle and export value/boundary", []),
+        ("heatmap", "export the Q-difference grid for a checkpoint", ["--checkpoint"]),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run-config JSON path")
         p.add_argument("--out", required=True, help="output directory (all writes go here)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--strategy", choices=config_mod.STRATEGY_NAMES, default=None, help="strategy name override (backtest)"
-        )
-        p.add_argument("--checkpoint", default=None, help="policy checkpoint path")
-        p.add_argument("--profile", choices=["smoke", "full"], default=None, help="training profile")
+        for flag in own_flags:
+            p.add_argument(flag, **flags[flag])
     return parser
 
 
@@ -191,7 +193,6 @@ def cmd_backtest(args, doc, seed, cfg_hash, out_dir):
         config_mod.pool_config(doc),
         capital=config_mod.capital(doc),
         features=_features(series, doc),
-        collect_trace=True,
         config_hash=cfg_hash,
     )
     trace_path = os.path.join(out_dir, "trace.csv")
@@ -302,7 +303,8 @@ def main(argv=None) -> int:
 
     try:
         doc = config_mod.load(args.config)
-        doc = config_mod.apply_profile(doc, args.profile)
+        if args.command == "train":
+            doc = config_mod.apply_profile(doc, args.profile)
         seed = args.seed if args.seed is not None else doc.get("seed", 0)
     except (config_mod.ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

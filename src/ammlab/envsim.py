@@ -5,15 +5,16 @@ Each step covers one second of bar data. The agent observes an
 applies its hold or recenter and accrues the next bar's fees (its
 docstring states the fee-bar convention). LpEnv.step returns
 (next_state, reward, terminal), like a gym environment; the caller keeps
-the observation it acted on. The reward is scaled net PnL plus a small
-in-range bonus:
+the observation it acted on, and the env keeps no record of its steps.
+The reward is scaled net PnL plus a small in-range bonus:
 
     r = scale * (fee - rebalance_cost_paid) / capital
         + active_bonus * in_range(next bar)
 
 Regime estimates and realized volatility are functions of the price
 series alone, so a FeatureTrack precomputes them for the whole series up
-front and build_state reads them by bar index.
+front and build_state reads them by bar index. write_trace_csv writes the
+per-bar trace that backtest.run returns, the only code that records one.
 """
 
 from __future__ import annotations
@@ -109,25 +110,9 @@ class FeatureTrack:
 TRACE_HEADER = ["t", "price", "center", "action", "fee", "gas", "reward", "theta", "in_range"]
 
 
-def trace_row(series: BarSeries, features: FeatureTrack, k: int, pos: Position, acted, fee, gas, reward):
-    """The TRACE_HEADER row of bar k, once its second has been accounted."""
-    price = float(series.close[k])
-    return (
-        int(series.t[k]),
-        price,
-        pos.center,
-        acted,
-        fee,
-        gas,
-        reward,
-        float(features.theta[k]) if features.valid[k] else 0.0,
-        1 if ammcore.in_range(pos, price) else 0,
-    )
-
-
-def write_trace_csv(path, rows) -> None:
-    """``trace_row`` fixes each cell's type, so every column is homogeneous."""
-    artifacts.write_columns(path, TRACE_HEADER, [np.array(col) for col in zip(*rows)])
+def write_trace_csv(path, trace) -> None:
+    """Write a backtest.run trace, its columns in TRACE_HEADER order."""
+    artifacts.write_columns(path, TRACE_HEADER, [trace[name] for name in TRACE_HEADER])
 
 
 class LpEnv:
@@ -156,7 +141,6 @@ class LpEnv:
         self._i = 0
         self._steps = 0
         self._terminal = True
-        self.trace: list = []
 
     def max_start(self) -> int:
         return len(self.series) - 1 - self.episode_length
@@ -177,7 +161,6 @@ class LpEnv:
         self._steps = 0
         self._terminal = False
         self.pos = ammcore.open_position(float(self.series.close[start_index]), self.pool, self.capital)
-        self.trace = []
         return build_state(self.pos, self.features, self._i)
 
     def step(self, action: int):
@@ -196,6 +179,4 @@ class LpEnv:
         next_state = build_state(self.pos, self.features, self._i)
         rp = self.reward_params
         reward = rp.scale * (fee - gas) / self.capital + rp.active_bonus * float(next_state[-1])
-
-        self.trace.append(trace_row(self.series, self.features, self._i, self.pos, action, fee, gas, reward))
         return next_state, reward, self._terminal

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ammlab import backtest as bt
@@ -79,22 +79,50 @@ class TestRun:
 
     def test_trace_columns(self):
         series = wandering_series(2, n=300)
-        report, trace = bt.run(st.Lancelot(), series, POOL, collect_trace=True)
-        assert len(trace) == 300
-        acted = sum(r[3] for r in trace)
-        assert acted == report.rebalance_count - 1  # initial placement not traced
+        report, trace = bt.run(st.Lancelot(), series, POOL)
+        assert list(trace) == envsim.TRACE_HEADER
+        assert [len(col) for col in trace.values()] == [300] * len(envsim.TRACE_HEADER)
+        assert trace["action"].sum() == report.rebalance_count - 1  # initial placement not traced
 
     def test_trace_csv_bytes_match_csv_writer(self, tmp_path):
-        _, trace = bt.run(st.Lancelot(), wandering_series(2, n=300), POOL, collect_trace=True)
+        _, trace = bt.run(st.Lancelot(), wandering_series(2, n=300), POOL)
         envsim.write_trace_csv(tmp_path / "trace.csv", trace)
-        artifacts.write_csv(tmp_path / "ref.csv", envsim.TRACE_HEADER, trace)
+        rows = zip(*(trace[k].tolist() for k in envsim.TRACE_HEADER))
+        artifacts.write_csv(tmp_path / "ref.csv", envsim.TRACE_HEADER, rows)
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_rebalance_deviations_measured_at_trigger(self):
         closes = [100.0, 100.0, 103.0, 103.0]
-        _, trace = bt.run(st.Lancelot(), series_from_closes(closes), POOL, collect_trace=True)
+        _, trace = bt.run(st.Lancelot(), series_from_closes(closes), POOL)
         devs = bt.rebalance_deviations(trace)
         assert devs == pytest.approx([0.03])
+
+
+def reference_deviations(trace):
+    """The row loop rebalance_deviations replaced, over the same columns."""
+    out = []
+    prev_center = None
+    columns = (trace[k].tolist() for k in ("price", "center", "action"))
+    for price, center, acted in zip(*columns):
+        if acted and prev_center is not None:
+            out.append(abs(price / prev_center - 1.0))
+        prev_center = center
+    return out
+
+
+positive = hst.floats(min_value=1e-3, max_value=1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=hst.lists(hst.tuples(positive, positive, hst.booleans()), max_size=40))
+@example(rows=[(100.0, 101.0, True), (102.0, 102.0, True), (102.5, 102.0, False)])  # a recenter at bar 0
+def test_rebalance_deviations_match_row_loop(rows):
+    trace = {
+        "price": np.array([r[0] for r in rows], dtype=np.float64),
+        "center": np.array([r[1] for r in rows], dtype=np.float64),
+        "action": np.array([r[2] for r in rows], dtype=np.int64),
+    }
+    assert bt.rebalance_deviations(trace) == reference_deviations(trace)
 
 
 class TestGasSweep:
@@ -204,14 +232,27 @@ class TestEnvBacktestAccounting:
         series = simulate_schedule(config.schedule(doc), 0)
         features = envsim.FeatureTrack(series)
         cfg = config.pool_config(doc)
-        report, bt_trace = bt.run(st.Lancelot(), series, cfg, features=features, collect_trace=True)
+        report, bt_trace = bt.run(st.Lancelot(), series, cfg, features=features)
         env = envsim.LpEnv(series, cfg, episode_length=len(series) - 1, features=features)
-        state = env.reset(0)
-        while True:
-            state, _, terminal = env.step(int(state[-1] == 0.0))  # lancelot's rule
-            if terminal:
-                break
-        return report, bt_trace, env.pos, env.trace
+        step = ammcore.step
+        fee_gas, centers, actions = [], [], []
+
+        def recorded(*args):
+            fee_gas.append(step(*args))
+            return fee_gas[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ammcore, "step", recorded)
+            state = env.reset(0)
+            while True:
+                actions.append(int(state[-1] == 0.0))  # lancelot's rule
+                state, _, terminal = env.step(actions[-1])
+                centers.append(env.pos.center)
+                if terminal:
+                    break
+        fee, gas = np.array(fee_gas).T
+        env_trace = {"center": np.array(centers), "action": np.array(actions), "fee": fee, "gas": gas}
+        return report, bt_trace, env.pos, env_trace
 
     def test_same_rebalances_and_gas(self, runs):
         report, _, env_pos, _ = runs
@@ -220,15 +261,15 @@ class TestEnvBacktestAccounting:
 
     def test_same_center_action_gas_each_step(self, runs):
         _, bt_trace, _, env_trace = runs
-        assert len(env_trace) == len(bt_trace) - 1
-        for i, env_row in enumerate(env_trace):
-            assert env_row[2:4] + env_row[5:6] == bt_trace[i][2:4] + bt_trace[i][5:6], i
+        n = len(env_trace["action"])
+        assert n == len(bt_trace["action"]) - 1
+        for k in ("center", "action", "gas"):
+            assert np.array_equal(env_trace[k], bt_trace[k][:n]), k
 
     def test_env_fee_is_backtest_fee_one_bar_on(self, runs):
         report, bt_trace, env_pos, env_trace = runs
-        for i, env_row in enumerate(env_trace):
-            acted_next = bt_trace[i + 1][3]
-            assert env_row[4] == (0.0 if acted_next else bt_trace[i + 1][4]), i
+        expected = np.where(bt_trace["action"][1:] == 1, 0.0, bt_trace["fee"][1:])
+        assert np.array_equal(env_trace["fee"], expected)
         # lancelot is in range at every backtest second, but not every env second
         assert report.active_fraction == 1.0
         assert ammcore.active_fraction(env_pos) < 1.0
@@ -292,12 +333,37 @@ class TestGoldenTraces:
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_trace_bytes_and_metrics(self, smoke, name, tmp_path):
         series, features, cfg, capital = smoke
-        report, trace = bt.run(self.FACTORIES[name](), series, cfg, capital, features, collect_trace=True)
+        report, trace = bt.run(self.FACTORIES[name](), series, cfg, capital, features)
         path = tmp_path / "trace.csv"
         envsim.write_trace_csv(path, trace)
         sha, metrics = self.GOLDEN[name]
         assert report.metrics() == metrics
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+class TestTraceMatchesReport:
+    """The trace's columns add up to the report's totals, for every strategy."""
+
+    @pytest.mark.parametrize("name", list(TestGoldenTraces.FACTORIES))
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 400),
+        theta=hst.floats(1e-4, 0.1),
+        sigma=hst.floats(0.01, 0.5),
+    )
+    def test_totals(self, name, seed, n, theta, sigma):
+        sched = RegimeSchedule(
+            segments=((n, OuParams(theta, 100.0, sigma)),),
+            initial_price=100.0,
+            volume_model=VolumeModel(20_000.0, 1.0),
+        )
+        series = simulate_schedule(sched, seed)
+        features = envsim.FeatureTrack(series, window=30)
+        report, trace = bt.run(TestGoldenTraces.FACTORIES[name](), series, POOL, features=features)
+        assert trace["action"].sum() == report.rebalance_count - 1
+        assert trace["in_range"].mean() == report.active_fraction
+        assert np.cumsum(trace["fee"])[-1] == report.total_fees  # accrued in the same order
 
 
 class TestHeatmap:

@@ -49,6 +49,14 @@ def base_config(**overrides):
     return doc
 
 
+# the subcommands that read each optional flag; every other one rejects it
+FLAG_READERS = {
+    ("--strategy", "bedivere"): ("backtest",),
+    ("--checkpoint", "policy.json"): ("backtest", "sweep-gas", "heatmap"),
+    ("--profile", "smoke"): ("train",),
+}
+
+
 class TestValidation:
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 1, "bogus": True})
@@ -79,6 +87,24 @@ class TestValidation:
         cfg = write_config(tmp_path, doc)
         rc = cli.main(["synth", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flag, value, command",
+        [(f, v, c) for (f, v), readers in FLAG_READERS.items() for c in cli._COMMANDS if c not in readers],
+    )
+    def test_stray_flag_exits_one(self, tmp_path, capsys, flag, value, command):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out), flag, value]) == 1
+        assert not out.exists()
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, command", [(f, v, c) for (f, v), readers in FLAG_READERS.items() for c in readers]
+    )
+    def test_flag_parses_where_read(self, flag, value, command):
+        args = cli._build_parser().parse_args([command, "--config", "c.json", "--out", "o", flag, value])
+        assert getattr(args, flag[2:]) == value
 
     def test_unknown_strategy_flag_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, base_config())

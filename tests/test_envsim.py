@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ammlab import ammcore, envsim, marketdata, regime, synthpath
+from ammlab import ammcore, backtest, envsim, marketdata, regime, strategies, synthpath
 from ammlab.ammcore import PoolConfig
 from ammlab.errors import DomainError, EpisodeFinished
 from ammlab.synthpath import OuParams
@@ -140,16 +140,18 @@ class TestStep:
     def test_recenter_cost_and_bonus(self):
         env = envsim.LpEnv(flat_series(volume=0.0), POOL, REWARD, episode_length=10, seed=0)
         env.reset(0)
+        gas0 = env.pos.accrued_gas
         _, reward, _ = env.step(1)
         # no volume means no fee; pay 4.50 and collect the in-range bonus
         assert reward == pytest.approx(100.0 * (-4.50 / 10_000.0) + 1e-4)
-        assert env.trace[-1][5] == pytest.approx(4.50)
+        assert env.pos.accrued_gas - gas0 == pytest.approx(4.50)
 
     def test_fee_reward_arithmetic(self):
         env = envsim.LpEnv(flat_series(volume=1e5), POOL, REWARD, episode_length=10, seed=0)
         env.reset(0)
+        fees0 = env.pos.accrued_fees
         _, reward, _ = env.step(0)
-        fee = env.trace[-1][4]
+        fee = env.pos.accrued_fees - fees0
         assert fee == pytest.approx(2.236, abs=5e-4)
         assert reward == pytest.approx(100.0 * fee / 10_000.0 + 1e-4)
 
@@ -265,13 +267,13 @@ class TestEpisodeInvariants:
     def test_trace_matches_episode(self):
         env = self.make_env()
         env.reset(0)
+        gas0 = env.pos.accrued_gas
         while True:
             _, _, terminal = env.step(0)
             if terminal:
                 break
-        assert len(env.trace) == 200
-        t, price, center, action, fee, gas, reward, theta, in_r = env.trace[0]
-        assert action == 0 and gas == 0.0
+        assert env.pos.total_seconds == 200
+        assert env.pos.accrued_gas == gas0 and env.pos.rebalance_count == 1
 
     def test_fixed_policy_determinism(self):
         seqs = []
@@ -303,20 +305,21 @@ class TestRollingVol:
         direct = np.std(r[i - 300 : i])
         assert out[i] == pytest.approx(direct, rel=1e-9)
 
-    def test_trace_row_columns_and_theta_fallback(self):
+    def test_backtest_trace_columns_and_theta_fallback(self):
         series = series_from_closes([100.0] * 5 + [100.5], volume=10.0)
         features = envsim.FeatureTrack(series)  # far too short for a valid estimate
-        pos = ammcore.Position(center=100.0, width=0.002, capital=1e4)
-        row = envsim.trace_row(series, features, 5, pos, 1, 0.25, 4.5, 0.01)
-        assert row == (5, 100.5, 100.0, 1, 0.25, 4.5, 0.01, 0.0, 0)
-        assert len(row) == len(envsim.TRACE_HEADER)
-        features.theta[4], features.valid[4] = 0.03, True
-        assert envsim.trace_row(series, features, 4, pos, 0, 0.0, 0.0, 0.0)[7:] == (0.03, 1)
+        features.theta[:] = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06]
+        features.valid[4] = True
+        _, trace = backtest.run(strategies.Bedivere(), series, POOL, features=features)
+        assert list(trace) == envsim.TRACE_HEADER
+        assert [trace[k][5].item() for k in envsim.TRACE_HEADER] == [5, 100.5, 100.0, 0, 0.0, 0.0, 0.0, 0.0, 0]
+        assert trace["theta"].tolist() == [0.0, 0.0, 0.0, 0.0, 0.05, 0.0]
+        assert trace["in_range"].tolist() == [1, 1, 1, 1, 1, 0]
 
     def test_trace_csv_round_trip(self, tmp_path):
-        rows = [(0, 100.0, 100.0, 0, 0.1, 0.0, 0.001, 0.05, 1)]
+        row = (0, 100.0, 100.0, 0, 0.1, 0.0, 0.001, 0.05, 1)
         path = tmp_path / "trace.csv"
-        envsim.write_trace_csv(path, rows)
+        envsim.write_trace_csv(path, {k: np.array([v]) for k, v in zip(envsim.TRACE_HEADER, row)})
         text = path.read_text().splitlines()
         assert text[0] == "t,price,center,action,fee,gas,reward,theta,in_range"
         assert len(text) == 2
