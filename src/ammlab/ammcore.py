@@ -26,6 +26,7 @@ class PoolConfig:
     pool_tvl: float = 500_000.0
     dex_cex_ratio: float = 0.10
     width: float = 0.002
+    capital: float = 10_000.0
 
     def __post_init__(self):
         if not 0 < self.fee_tier < 1:
@@ -38,6 +39,8 @@ class PoolConfig:
             raise ValueError("dex_cex_ratio must be in (0, 1]")
         if not 0 < self.width < 1:
             raise ValueError("width must be in (0, 1)")
+        if self.capital <= 0:
+            raise ValueError("capital must be > 0")
 
 
 @dataclass
@@ -66,16 +69,15 @@ class Position:
         self.upper = self.center * (1.0 + self.width)
 
 
-def open_position(
-    center: float, cfg: PoolConfig, capital: float = 10_000.0, width: float | None = None
-) -> Position:
-    """Open a fresh position at `center`; counts as rebalance #1, gas only.
+def open_position(center: float, cfg: PoolConfig, width: float | None = None) -> Position:
+    """Open a fresh position of the pool's capital at `center`; counts as
+    rebalance #1, gas only.
 
     `width` defaults to the pool's configured half-width.
     """
-    pos = Position(center=center, width=cfg.width if width is None else width, capital=capital)
+    pos = Position(center=center, width=cfg.width if width is None else width, capital=cfg.capital)
     pos.rebalance_count = 1
-    pos.accrued_gas = accrued_gas(cfg, capital, 1)
+    pos.accrued_gas = accrued_gas(cfg, 1)
     return pos
 
 
@@ -105,11 +107,9 @@ def fee_step(pos: Position, s: float, cex_volume: float, cfg: PoolConfig) -> flo
     return fee
 
 
-def rebalance_cost(cfg: PoolConfig, capital: float) -> float:
+def rebalance_cost(cfg: PoolConfig) -> float:
     """Half-position swap fee plus gas."""
-    if capital <= 0:
-        raise ValueError("capital must be > 0")
-    return cfg.fee_tier * (0.5 * capital) + cfg.gas_cost
+    return cfg.fee_tier * (0.5 * cfg.capital) + cfg.gas_cost
 
 
 def recenter(pos: Position, s: float, cfg: PoolConfig) -> Position:
@@ -118,7 +118,7 @@ def recenter(pos: Position, s: float, cfg: PoolConfig) -> Position:
         raise ValueError("price must be > 0")
     pos.center = s
     pos._set_bounds()
-    pos.accrued_gas += rebalance_cost(cfg, pos.capital)
+    pos.accrued_gas += rebalance_cost(cfg)
     pos.rebalance_count += 1
     return pos
 
@@ -145,7 +145,7 @@ def step(pos: Position, target: float | None, price: float, volume: float, cfg: 
     return fee_step(pos, price, volume, cfg), gas
 
 
-def accrued_gas(cfg: PoolConfig, capital: float, rebalances: int) -> float:
+def accrued_gas(cfg: PoolConfig, rebalances: int) -> float:
     """Total rebalance cost of a position after `rebalances` rebalances.
 
     The opening counts as the first rebalance and pays gas only; every
@@ -157,7 +157,7 @@ def accrued_gas(cfg: PoolConfig, capital: float, rebalances: int) -> float:
     if rebalances < 1:
         raise ValueError("rebalances must be >= 1 (opening counts as the first)")
     gas = cfg.gas_cost
-    cost = rebalance_cost(cfg, capital)
+    cost = rebalance_cost(cfg)
     for _ in range(rebalances - 1):
         gas += cost
     return gas

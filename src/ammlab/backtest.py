@@ -29,7 +29,6 @@ class BacktestReport:
     total_fees: float
     total_gas: float
     net_roi: float
-    capital: float
     config_hash: str = ""
     trace_path: str | None = None
 
@@ -56,7 +55,6 @@ def run(
     strategy: Strategy,
     series: BarSeries,
     cfg: PoolConfig | None = None,
-    capital: float = 10_000.0,
     features: FeatureTrack | None = None,
     config_hash: str = "",
 ):
@@ -72,11 +70,8 @@ def run(
         raise EmptyData("cannot backtest an empty series")
     cfg = cfg or PoolConfig()
     features = features or FeatureTrack(series)
-    strategy.prepare(series)
-
-    s0 = float(series.close[0])
-    center0, width0 = strategy.initial_range(s0, cfg.width)
-    pos = ammcore.open_position(center0, cfg, capital, width=width0)
+    center0, width0 = strategy.initial_range(series, cfg.width)
+    pos = ammcore.open_position(center0, cfg, width=width0)
 
     n = len(series)
     center, fee, gas = np.empty(n), np.empty(n), np.empty(n)
@@ -97,7 +92,6 @@ def run(
         total_fees=pos.accrued_fees,
         total_gas=pos.accrued_gas,
         net_roi=ammcore.net_roi(pos),
-        capital=capital,
         config_hash=config_hash,
     )
     trace = {
@@ -126,17 +120,16 @@ def rebalance_deviations(trace) -> list[float]:
 
 
 def gas_sweep(
-    strategy_factories,
+    strategies,
     series: BarSeries,
     gas_levels=(1.0, 2.0, 5.0, 10.0, 20.0, 50.0),
     cfg: PoolConfig | None = None,
-    capital: float = 10_000.0,
     features: FeatureTrack | None = None,
 ):
     """Net ROI per (gas level, strategy) plus interpolated break-even gas.
 
     Returns (rows, break_evens): rows are (gas, name, net_roi) and
-    break_evens maps name -> gas where net ROI crosses zero (linear
+    break_evens maps strategy.name -> gas where net ROI crosses zero (linear
     interpolation between bracketing levels; ROI is affine in gas for
     gas-blind strategies, so extrapolation from the last segment is used
     when no bracket exists).
@@ -148,19 +141,24 @@ def gas_sweep(
     """
     if any(g <= 0 for g in gas_levels):
         raise ValueError("gas levels must be positive")
+    gas_levels = sorted(float(g) for g in gas_levels)
+    if len(set(gas_levels)) < len(gas_levels):
+        raise ValueError("gas levels must be distinct")
+    names = [s.name for s in strategies]
+    if len(set(names)) < len(names):
+        raise ValueError(f"strategy names must be distinct, got {names}")
     cfg = cfg or PoolConfig()
     features = features or FeatureTrack(series)
-    gas_levels = sorted(float(g) for g in gas_levels)
 
     rows = []
     curves: dict[str, list[tuple[float, float]]] = {}
-    for name, factory in strategy_factories:
-        report, _ = run(factory(), series, cfg, capital, features)
+    for strategy in strategies:
+        report, _ = run(strategy, series, cfg, features)
         for g in gas_levels:
-            gas = ammcore.accrued_gas(replace(cfg, gas_cost=g), capital, report.rebalance_count)
-            roi = (report.total_fees - gas) / capital
-            rows.append((g, name, roi))
-            curves.setdefault(name, []).append((g, roi))
+            gas = ammcore.accrued_gas(replace(cfg, gas_cost=g), report.rebalance_count)
+            roi = (report.total_fees - gas) / cfg.capital
+            rows.append((g, strategy.name, roi))
+            curves.setdefault(strategy.name, []).append((g, roi))
 
     break_evens = {name: _break_even(curve) for name, curve in curves.items()}
     return rows, break_evens

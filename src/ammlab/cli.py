@@ -73,16 +73,17 @@ def _load_series(doc, seed):
         series = synthpath.simulate_schedule(config_mod.schedule(doc), seed)
     else:
         raise config_mod.ConfigError("config needs data.bars_csv or data.synth")
-    if "splits" in data:
-        series = marketdata.split(series, tuple(data["splits"]))
     return series
 
 
-def _segment(series, doc):
-    name = doc.get("backtest", {}).get("segment", "test")
-    if series.split_marks is None or name == "all":
+def _segment(doc, seed, name):
+    """Segment `name` of the configured series under data.splits; the whole
+    series without splits or for "all"."""
+    series = _load_series(doc, seed)
+    splits = doc.get("data", {}).get("splits")
+    if splits is None or name == "all":
         return series
-    train, val, test = series.segments()
+    train, val, test = marketdata.split(series, tuple(splits))
     return {"train": train, "val": val, "test": test}[name]
 
 
@@ -112,8 +113,8 @@ def _write_manifest(out_dir, command, cfg_hash, seed, outputs, started):
     return path
 
 
-def _strategy_factory(spec, checkpoint):
-    """(name, factory) for a validated spec; --checkpoint applies to rammstein only."""
+def _strategy(spec, checkpoint):
+    """The strategy a validated spec names; --checkpoint applies to rammstein only."""
     name = spec["name"]
     params = dict(spec.get("params", {}))
     if name == "rammstein":
@@ -121,7 +122,7 @@ def _strategy_factory(spec, checkpoint):
             params["checkpoint"] = checkpoint
         if "checkpoint" not in params:
             raise config_mod.ConfigError("rammstein needs --checkpoint or a 'checkpoint' param")
-    return name, lambda: strategies.make_strategy(name, params)
+    return strategies.make_strategy(name, params)
 
 
 def cmd_ingest(args, doc, seed, cfg_hash, out_dir):
@@ -129,9 +130,6 @@ def cmd_ingest(args, doc, seed, cfg_hash, out_dir):
     if trades_path is None:
         raise config_mod.ConfigError("ingest needs data.trades_csv")
     series = marketdata.aggregate(*marketdata.read_trades_csv(trades_path))
-    splits = doc.get("data", {}).get("splits")
-    if splits:
-        series = marketdata.split(series, tuple(splits))
     out = os.path.join(out_dir, "bars.csv")
     marketdata.write_bars_csv(out, series)
     return [out]
@@ -157,15 +155,17 @@ def cmd_estimate(args, doc, seed, cfg_hash, out_dir):
 
 
 def cmd_train(args, doc, seed, cfg_hash, out_dir):
-    series = _load_series(doc, seed)
-    if series.split_marks is not None:
-        series = series.segments()[0]
+    series = _segment(doc, seed, "train")
     tc = config_mod.train_config(doc, seed)
+    if len(series) <= tc.episode_length:
+        raise config_mod.ConfigError(
+            f"train.episode_length {tc.episode_length} needs more bars than the "
+            f"{len(series)}-bar training segment"
+        )
     env = envsim.LpEnv(
         series,
         config_mod.pool_config(doc),
         config_mod.reward_params(doc),
-        capital=config_mod.capital(doc),
         episode_length=tc.episode_length,
         features=_features(series, doc),
     )
@@ -185,13 +185,12 @@ def cmd_backtest(args, doc, seed, cfg_hash, out_dir):
     spec = doc.get("strategy", {"name": "lancelot"})
     if args.strategy not in (None, spec["name"]):
         spec = {"name": args.strategy}  # the config's params belong to its own strategy
-    _, factory = _strategy_factory(spec, args.checkpoint)
-    series = _segment(_load_series(doc, seed), doc)
+    strategy = _strategy(spec, args.checkpoint)
+    series = _segment(doc, seed, doc.get("backtest", {}).get("segment", "test"))
     report, trace = backtest_mod.run(
-        factory(),
+        strategy,
         series,
         config_mod.pool_config(doc),
-        capital=config_mod.capital(doc),
         features=_features(series, doc),
         config_hash=cfg_hash,
     )
@@ -207,10 +206,10 @@ def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
     sweep = doc.get("sweep", {})
     specs = sweep.get("strategies") or [doc.get("strategy", {"name": "lancelot"})]
     levels = sweep.get("gas_levels", [1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
-    factories = [_strategy_factory(s, args.checkpoint) for s in specs]
-    series = _segment(_load_series(doc, seed), doc)
+    built = [_strategy(s, args.checkpoint) for s in specs]
+    series = _segment(doc, seed, doc.get("backtest", {}).get("segment", "test"))
     rows, break_evens = backtest_mod.gas_sweep(
-        factories, series, levels, config_mod.pool_config(doc), config_mod.capital(doc), _features(series, doc)
+        built, series, levels, config_mod.pool_config(doc), _features(series, doc)
     )
 
     sweep_path = os.path.join(out_dir, "gas_sweep.csv")
@@ -230,7 +229,6 @@ def cmd_qvi(args, doc, seed, cfg_hash, out_dir):
         n_c=q.get("n_c", 100),
         span_sigmas=q.get("span_sigmas", qvi.MIN_SPAN_SIGMAS),
         rho=q.get("rho", qvi.DEFAULT_RHO),
-        capital=config_mod.capital(doc),
         ref_volume=q.get("ref_volume", 50_000.0),
         cost=q.get("cost"),
     )

@@ -145,7 +145,7 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "strategies": {"type": "array", "minItems": 1, "items": _STRATEGY_SPEC},
-                "gas_levels": {"type": "array", "minItems": 2, "items": _POS},
+                "gas_levels": {"type": "array", "minItems": 2, "uniqueItems": True, "items": _POS},
             },
         },
         "qvi": {
@@ -207,6 +207,10 @@ def validate(doc: dict) -> dict:
     segment = doc.get("backtest", {}).get("segment")
     if splits is None and segment in ("train", "val", "test"):
         raise ConfigError(f"backtest.segment {segment!r} needs data.splits")
+    names = [spec["name"] for spec in doc.get("sweep", {}).get("strategies", [])]
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        raise ConfigError(f"sweep.strategies names {', '.join(twice)} more than once")
     theta_min, theta_max = heatmap_theta_range(doc)
     if theta_min > theta_max:
         raise ConfigError(f"heatmap.theta_min {theta_min} exceeds heatmap.theta_max {theta_max}")
@@ -232,11 +236,7 @@ def config_hash(doc: dict) -> str:
 
 # Each section's schema keys are its dataclass's fields, which hold the defaults.
 def pool_config(doc: dict) -> PoolConfig:
-    return PoolConfig(**{k: v for k, v in doc.get("pool", {}).items() if k != "capital"})
-
-
-def capital(doc: dict) -> float:
-    return doc.get("pool", {}).get("capital", 10_000.0)
+    return PoolConfig(**doc.get("pool", {}))
 
 
 def estimate_window(doc: dict) -> int:

@@ -123,7 +123,6 @@ class LpEnv:
         series: BarSeries,
         pool: PoolConfig | None = None,
         reward: RewardParams | None = None,
-        capital: float = 10_000.0,
         episode_length: int = 3600,
         seed: int = 0,
         features: FeatureTrack | None = None,
@@ -133,7 +132,6 @@ class LpEnv:
         self.series = series
         self.pool = pool or PoolConfig()
         self.reward_params = reward or RewardParams()
-        self.capital = capital
         self.episode_length = episode_length
         self.features = features or FeatureTrack(series)
         self.rng = np.random.default_rng(seed)
@@ -160,7 +158,7 @@ class LpEnv:
         self._i = start_index
         self._steps = 0
         self._terminal = False
-        self.pos = ammcore.open_position(float(self.series.close[start_index]), self.pool, self.capital)
+        self.pos = ammcore.open_position(float(self.series.close[start_index]), self.pool)
         return build_state(self.pos, self.features, self._i)
 
     def step(self, action: int):
@@ -178,5 +176,5 @@ class LpEnv:
         self._terminal = self._steps >= self.episode_length or self._i >= len(self.series) - 1
         next_state = build_state(self.pos, self.features, self._i)
         rp = self.reward_params
-        reward = rp.scale * (fee - gas) / self.capital + rp.active_bonus * float(next_state[-1])
+        reward = rp.scale * (fee - gas) / self.pool.capital + rp.active_bonus * float(next_state[-1])
         return next_state, reward, self._terminal

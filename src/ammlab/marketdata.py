@@ -11,7 +11,7 @@ and positive and sizes or volumes that are not finite and non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,7 @@ from .errors import DomainError, EmptyData, InsufficientData, UnsortedInput
 
 @dataclass(frozen=True)
 class BarSeries:
-    """Column-oriented bar storage with consecutive, gap-free seconds.
-
-    ``split_marks`` are two indices (i, j) so that bars[:i] is the training
-    segment, bars[i:j] validation, bars[j:] test.
-    """
+    """Column-oriented bar storage with consecutive, gap-free seconds."""
 
     t: np.ndarray
     open: np.ndarray
@@ -33,7 +29,6 @@ class BarSeries:
     low: np.ndarray
     close: np.ndarray
     volume: np.ndarray
-    split_marks: tuple[int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -47,12 +42,6 @@ class BarSeries:
             close=self.close[start:stop],
             volume=self.volume[start:stop],
         )
-
-    def segments(self) -> tuple["BarSeries", "BarSeries", "BarSeries"]:
-        if self.split_marks is None:
-            raise InsufficientData("series has no split marks; call split() first")
-        i, j = self.split_marks
-        return self.slice(0, i), self.slice(i, j), self.slice(j, len(self))
 
 
 def _check_domain(kind, positive, nonnegative) -> None:
@@ -114,8 +103,8 @@ def aggregate(ts_ms: np.ndarray, price: np.ndarray, size: np.ndarray) -> BarSeri
     )
 
 
-def split(series: BarSeries, fractions: tuple[float, float, float]) -> BarSeries:
-    """Mark chronological train/validation/test boundaries on a series."""
+def split(series: BarSeries, fractions: tuple[float, float, float]) -> tuple[BarSeries, BarSeries, BarSeries]:
+    """Chronological (train, validation, test) segments of a series."""
     f_train, f_val, f_test = fractions
     if min(f_train, f_val, f_test) <= 0:
         raise ValueError("split fractions must be positive")
@@ -126,7 +115,7 @@ def split(series: BarSeries, fractions: tuple[float, float, float]) -> BarSeries
         raise InsufficientData(f"need at least 3 bars to split, got {n}")
     i = int(np.floor(n * f_train))
     j = int(np.floor(n * (f_train + f_val)))
-    return replace(series, split_marks=(i, j))
+    return series.slice(0, i), series.slice(i, j), series.slice(j, n)
 
 
 TRADE_HEADER = ["timestamp_ms", "price", "size"]

@@ -63,7 +63,6 @@ class QviProblem:
     s_grid: GridSpec
     c_grid: GridSpec
     rho: float = DEFAULT_RHO
-    capital: float = 10_000.0
     ref_volume: float = 50_000.0
     cost: float | None = None
 
@@ -100,14 +99,14 @@ class QviProblem:
             self.pool.dex_cex_ratio
             * self.ref_volume
             * self.pool.fee_tier
-            * (self.capital * lam)
+            * (self.pool.capital * lam)
             / self.pool.pool_tvl
         )
 
     def cost_value(self) -> float:
         if self.cost is not None:
             return self.cost
-        return ammcore.rebalance_cost(self.pool, self.capital)
+        return ammcore.rebalance_cost(self.pool)
 
 
 @dataclass

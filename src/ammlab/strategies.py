@@ -1,10 +1,10 @@
 """Baseline range-management strategies plus the learned-policy wrapper.
 
 All strategies decide from information available at the current second;
-the single exception is the omniscient Merlin, which fixes its range
-from the whole series up front. A decision is the price to recenter at
-(the current one or a chosen one), or None to hold. Strategies read the
-regime features of bar i from the run's FeatureTrack by index.
+the single exception is the omniscient Merlin, whose opening range spans
+the whole series. A decision is the price to recenter at (the current
+one or a chosen one), or None to hold. Strategies read the regime
+features of bar i from the run's FeatureTrack by index.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ class Strategy:
 
     name = "hold"
 
-    def prepare(self, series: BarSeries) -> None:
-        """Called before the run; only oracle strategies may look at it."""
-
-    def initial_range(self, s0: float, default_width: float) -> tuple[float, float]:
-        return s0, default_width
+    def initial_range(self, series: BarSeries, width: float) -> tuple[float, float]:
+        """The opening (center, half-width); only oracle strategies look past bar 0."""
+        return float(series.close[0]), width
 
     def decide(self, i: int, price: float, pos: ammcore.Position, features: envsim.FeatureTrack) -> float | None:
         """The price to recenter at for bar i, whose close is `price`, or None to hold.
@@ -47,21 +45,12 @@ class Merlin(Strategy):
 
     name = "merlin"
 
-    def __init__(self):
-        self.center = None
-        self.width = None
-
-    def prepare(self, series: BarSeries) -> None:
+    def initial_range(self, series, width):
         s_min = float(np.min(series.close))
         s_max = float(np.max(series.close))
-        self.center = 0.5 * (s_min + s_max)
+        center = 0.5 * (s_min + s_max)
         # one-ulp pad keeps the realized extremes inside despite rounding
-        self.width = max((s_max - s_min) / (2.0 * self.center) * (1.0 + 1e-12), MERLIN_MIN_WIDTH)
-
-    def initial_range(self, s0: float, default_width: float) -> tuple[float, float]:
-        if self.center is None:
-            raise RuntimeError("Merlin needs prepare(series) before running")
-        return self.center, self.width
+        return center, max((s_max - s_min) / (2.0 * center) * (1.0 + 1e-12), MERLIN_MIN_WIDTH)
 
 
 class Bedivere(Strategy):
@@ -84,7 +73,8 @@ class GalahadOu(Strategy):
 
     Predicts the price `horizon` seconds ahead from the deterministic
     mean-reversion decay and recenters there when the current price is
-    out of range and the forecast also lies outside the band. With
+    out of range and the forecast also lies outside the band. A forecast
+    that is not a positive price (a fitted mu far below zero) holds. With
     theta_override=0 the forecast collapses to the current price and the
     behavior matches the greedy strategy on every path.
     """
@@ -112,7 +102,7 @@ class GalahadOu(Strategy):
         else:
             mu = float(features.mu[i])
             forecast = mu + (price - mu) * decay
-        return None if ammcore.in_range(pos, forecast) else forecast
+        return None if forecast <= 0.0 or ammcore.in_range(pos, forecast) else forecast
 
 
 class PolicyStrategy(Strategy):

@@ -23,7 +23,6 @@ from ammlab.synthpath import OuParams, RegimeSchedule, VolumeModel
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 POOL = PoolConfig()
-CAPITAL = 10_000.0
 EPISODES = 20
 EPISODE_LENGTH = 3600
 GAS_LEVELS = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0)
@@ -90,7 +89,7 @@ def mixed_setup():
     doc = load_shipped_config("smoke.json")
     schedule = config_mod.schedule(doc)
     eval_series = synthpath.simulate_schedule(schedule, 9999)
-    eval_env = envsim.LpEnv(eval_series, POOL, envsim.RewardParams(), capital=CAPITAL,
+    eval_env = envsim.LpEnv(eval_series, POOL, envsim.RewardParams(),
                             episode_length=EPISODE_LENGTH, seed=123)
     starts = episode_starts(eval_series)
     lancelot = run_episodes(eval_env, lancelot_decide, starts)
@@ -98,7 +97,7 @@ def mixed_setup():
     agents = []
     for seed in range(5):
         train_series = synthpath.simulate_schedule(schedule, 1000 + seed)
-        env = envsim.LpEnv(train_series, POOL, envsim.RewardParams(), capital=CAPITAL,
+        env = envsim.LpEnv(train_series, POOL, envsim.RewardParams(),
                            episode_length=EPISODE_LENGTH, seed=seed)
         cfg = config_mod.train_config(doc, seed)
         agent, _ = agent_mod.train(env, cfg)
@@ -115,19 +114,19 @@ def stationary_setup():
     train_series = synthpath.simulate_schedule(schedule, 2000)
     eval_series = synthpath.simulate_schedule(schedule, 8888)
 
-    env = envsim.LpEnv(train_series, POOL, envsim.RewardParams(), capital=CAPITAL,
+    env = envsim.LpEnv(train_series, POOL, envsim.RewardParams(),
                        episode_length=EPISODE_LENGTH, seed=0)
     cfg = config_mod.train_config(doc, 0)
     agent, _ = agent_mod.train(env, cfg)
 
     ou = OuParams(0.05, 100.0, 0.5)
     problem = qvi.QviProblem.default(
-        ou, POOL, n_s=400, n_c=100, capital=CAPITAL,
+        ou, POOL, n_s=400, n_c=100,
         ref_volume=float(np.mean(train_series.volume)),
     )
     solution = qvi.solve(problem)
 
-    eval_env = envsim.LpEnv(eval_series, POOL, envsim.RewardParams(), capital=CAPITAL,
+    eval_env = envsim.LpEnv(eval_series, POOL, envsim.RewardParams(),
                             episode_length=EPISODE_LENGTH, seed=123)
     starts = episode_starts(eval_series)
     return {"agent": agent, "solution": solution, "eval_env": eval_env, "starts": starts}
@@ -139,7 +138,7 @@ def stationary_setup():
 def test_criterion_1_closed_form_constants():
     lam = concentration(0.002)
     hl = regime.half_life(0.01)
-    cost = rebalance_cost(POOL, CAPITAL)
+    cost = rebalance_cost(POOL)
     ok = abs(lam - 22.36) <= 0.1 and abs(hl - 69.31) <= 0.01 and cost == 4.50
     _report(1, ok, f"lambda={lam:.4f}, half_life={hl:.4f}s, rebalance_cost={cost}")
     assert abs(lam - 22.36) <= 0.1
@@ -356,9 +355,9 @@ def test_criterion_8_gas_sweep_ordering(mixed_setup):
     # strategies never observe gas, so the per-level tables follow exactly
     # from one evaluation: pnl(G) = fees - swap_fee*N - G*(N + episode inits)
     def roi_curve(fees, n_rebal):
-        swap_fee = POOL.fee_tier * 0.5 * CAPITAL
+        swap_fee = POOL.fee_tier * 0.5 * POOL.capital
         return [
-            (g, (fees - swap_fee * n_rebal - g * (n_rebal + EPISODES)) / CAPITAL)
+            (g, (fees - swap_fee * n_rebal - g * (n_rebal + EPISODES)) / POOL.capital)
             for g in GAS_LEVELS
         ]
 

@@ -88,13 +88,13 @@ class TestFeeStep:
 
 class TestRebalanceCost:
     def test_reference_value_exact(self):
-        assert ac.rebalance_cost(CFG, 10_000.0) == 4.50
+        assert ac.rebalance_cost(CFG) == 4.50
 
     def test_higher_gas_level(self):
-        assert ac.rebalance_cost(ac.PoolConfig(gas_cost=10.0), 10_000.0) == 12.50
+        assert ac.rebalance_cost(ac.PoolConfig(gas_cost=10.0)) == 12.50
 
     def test_swap_fee_only_when_gas_free(self):
-        assert ac.rebalance_cost(ac.PoolConfig(gas_cost=0.0), 10_000.0) == pytest.approx(2.5)
+        assert ac.rebalance_cost(ac.PoolConfig(gas_cost=0.0)) == pytest.approx(2.5)
 
 
 class TestStep:
@@ -108,7 +108,7 @@ class TestStep:
         pos = make_pos()
         fee, gas = ac.step(pos, 101.0, 101.0, 5_000.0, CFG)
         assert pos.center == 101.0 and pos.rebalance_count == 1
-        assert gas == pos.accrued_gas == ac.rebalance_cost(CFG, pos.capital)
+        assert gas == pos.accrued_gas == ac.rebalance_cost(CFG)
         assert fee > 0.0 and pos.active_seconds == 1
 
     def test_fee_bar_may_leave_new_band(self):
@@ -144,7 +144,7 @@ class TestRecenter:
         pos = make_pos()
         for s in (98.0, 99.0, 101.0, 100.0):
             ac.recenter(pos, s, CFG)
-        assert pos.accrued_gas == pytest.approx(pos.rebalance_count * ac.rebalance_cost(CFG, pos.capital))
+        assert pos.accrued_gas == pytest.approx(pos.rebalance_count * ac.rebalance_cost(CFG))
 
     def test_open_position_convention(self):
         # initial placement: counted as the first rebalance, gas only
@@ -158,16 +158,17 @@ class TestRecenter:
 class TestAccruedGas:
     @pytest.mark.parametrize("gas", [0.0, 0.1, 2.0, 7.3, 1e4])
     def test_replays_position_bit_for_bit(self, gas):
-        cfg = ac.PoolConfig(gas_cost=gas)
-        pos = ac.open_position(100.0, cfg, capital=12_345.0)
-        assert ac.accrued_gas(cfg, 12_345.0, 1) == pos.accrued_gas
+        cfg = ac.PoolConfig(gas_cost=gas, capital=12_345.0)
+        pos = ac.open_position(100.0, cfg)
+        assert pos.capital == 12_345.0
+        assert ac.accrued_gas(cfg, 1) == pos.accrued_gas
         for k, s in enumerate(np.linspace(99.0, 101.0, 200)):
             ac.recenter(pos, float(s), cfg)
-            assert ac.accrued_gas(cfg, 12_345.0, pos.rebalance_count) == pos.accrued_gas, k
+            assert ac.accrued_gas(cfg, pos.rebalance_count) == pos.accrued_gas, k
 
     def test_needs_the_opening(self):
         with pytest.raises(ValueError):
-            ac.accrued_gas(CFG, 10_000.0, 0)
+            ac.accrued_gas(CFG, 0)
 
 
 class TestNetRoi:
@@ -231,3 +232,5 @@ class TestPoolConfig:
             ac.PoolConfig(dex_cex_ratio=0.0)
         with pytest.raises(ValueError):
             ac.PoolConfig(gas_cost=-1.0)
+        with pytest.raises(ValueError):
+            ac.PoolConfig(capital=0.0)

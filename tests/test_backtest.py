@@ -64,7 +64,7 @@ class TestRun:
     def test_roi_identity(self):
         report, _ = bt.run(st.Lancelot(), wandering_series(1), POOL)
         assert report.net_roi == pytest.approx(
-            (report.total_fees - report.total_gas) / report.capital, abs=1e-12
+            (report.total_fees - report.total_gas) / POOL.capital, abs=1e-12
         )
 
     def test_empty_series_rejected(self):
@@ -129,14 +129,14 @@ class TestGasSweep:
     def test_passive_slope_is_one_over_capital(self):
         closes = 100.0 + 0.1 * np.sin(np.arange(400) / 20.0)
         series = series_from_closes(closes)
-        rows, _ = bt.gas_sweep([("bedivere", st.Bedivere)], series, (1.0, 2.0, 5.0), POOL)
+        rows, _ = bt.gas_sweep([st.Bedivere()], series, (1.0, 2.0, 5.0), POOL)
         rois = {g: roi for g, _, roi in rows}
         assert rois[2.0] - rois[1.0] == pytest.approx(-1.0 / 10_000.0, rel=1e-9)
         assert rois[5.0] - rois[2.0] == pytest.approx(-3.0 / 10_000.0, rel=1e-9)
 
     def test_lancelot_strictly_decreasing(self):
         series = wandering_series(4)
-        rows, _ = bt.gas_sweep([("lancelot", st.Lancelot)], series, (1.0, 2.0, 5.0, 10.0), POOL)
+        rows, _ = bt.gas_sweep([st.Lancelot()], series, (1.0, 2.0, 5.0, 10.0), POOL)
         rois = [roi for _, _, roi in sorted(rows)]
         assert all(b < a for a, b in zip(rois, rois[1:]))
 
@@ -147,27 +147,35 @@ class TestGasSweep:
         report, _ = bt.run(st.Bedivere(), series, PoolConfig(gas_cost=1.0), features=None)
         fees = report.total_fees
         assert 1.0 < fees < 50.0
-        _, break_evens = bt.gas_sweep(
-            [("bedivere", st.Bedivere)], series, (1.0, 2.0, 5.0, 10.0, 20.0, 50.0), POOL
-        )
+        _, break_evens = bt.gas_sweep([st.Bedivere()], series, (1.0, 2.0, 5.0, 10.0, 20.0, 50.0), POOL)
         assert break_evens["bedivere"] == pytest.approx(fees, rel=1e-9)
 
     def test_levels_validated(self):
         with pytest.raises(ValueError):
-            bt.gas_sweep([("lancelot", st.Lancelot)], wandering_series(5, n=100), (0.0, 1.0), POOL)
+            bt.gas_sweep([st.Lancelot()], wandering_series(5, n=100), (0.0, 1.0), POOL)
+
+    def test_repeated_level_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            bt.gas_sweep([st.Lancelot()], wandering_series(5, n=100), (2.0, 2.0), POOL)
+
+    def test_repeated_name_rejected(self):
+        # one curve per name: a second galahad would overwrite the first's break-even
+        pair = [st.GalahadOu(), st.GalahadOu(horizon=600.0)]
+        with pytest.raises(ValueError, match="distinct"):
+            bt.gas_sweep(pair, wandering_series(5, n=100), (1.0, 2.0), POOL)
 
 
 SWEEP_NAMES = ("merlin", "bedivere", "lancelot", "galahad", "rammstein")
 
 
 @pytest.fixture(scope="module")
-def sweep_factories(tmp_path_factory):
-    """A factory for every strategy make_strategy builds; rammstein from a seeded checkpoint."""
+def sweep_strategies(tmp_path_factory):
+    """Every strategy make_strategy builds, built once; rammstein from a seeded checkpoint."""
     ckpt = tmp_path_factory.mktemp("policy") / "checkpoint.json"
     # seed 2 both holds and recenters on the wandering series
     neural.save_checkpoint(ckpt, neural.Mlp(Q_NET_DIMS, seed=2))
     params = {"rammstein": {"checkpoint": str(ckpt)}}
-    return [(name, lambda name=name: st.make_strategy(name, params.get(name))) for name in SWEEP_NAMES]
+    return [st.make_strategy(name, params.get(name)) for name in SWEEP_NAMES]
 
 
 @pytest.fixture(scope="module")
@@ -176,34 +184,31 @@ def sweep_series():
     return series, envsim.FeatureTrack(series)
 
 
-def assert_sweep_matches_brute_force(factories, series, features, levels):
+def assert_sweep_matches_brute_force(strategies, series, features, levels):
     cfg = PoolConfig(gas_cost=3.0)
-    rows, break_evens = bt.gas_sweep(factories, series, levels, cfg, features=features)
-    assert [(g, name) for g, name, _ in rows] == [(g, name) for name, _ in factories for g in sorted(levels)]
-    for name, factory in factories:
+    rows, break_evens = bt.gas_sweep(strategies, series, levels, cfg, features=features)
+    assert [(g, name) for g, name, _ in rows] == [(g, s.name) for s in strategies for g in sorted(levels)]
+    for strategy in strategies:
         curve = []
         for g in sorted(levels):
-            report, _ = bt.run(factory(), series, replace(cfg, gas_cost=g), features=features)
+            report, _ = bt.run(strategy, series, replace(cfg, gas_cost=g), features=features)
             curve.append((g, report.net_roi))
-        swept = [(g, roi) for g, n, roi in rows if n == name]
-        assert swept == curve, name  # exact, not approximate
-        assert break_evens[name] == bt._break_even(curve)
+        swept = [(g, roi) for g, n, roi in rows if n == strategy.name]
+        assert swept == curve, strategy.name  # exact, not approximate
+        assert break_evens[strategy.name] == bt._break_even(curve)
 
 
 class TestGasSweepDifferential:
     """One run per strategy prices every gas level exactly like a run at that level."""
 
-    def test_rebalance_counts_span_passive_to_busy(self, sweep_factories, sweep_series):
+    def test_rebalance_counts_span_passive_to_busy(self, sweep_strategies, sweep_series):
         series, features = sweep_series
-        counts = {
-            name: bt.run(f(), series, POOL, features=features)[0].rebalance_count
-            for name, f in sweep_factories
-        }
+        counts = {s.name: bt.run(s, series, POOL, features=features)[0].rebalance_count for s in sweep_strategies}
         assert counts["merlin"] == counts["bedivere"] == 1
         assert min(counts["lancelot"], counts["galahad"], counts["rammstein"]) > 10
 
-    def test_default_levels(self, sweep_factories, sweep_series):
-        assert_sweep_matches_brute_force(sweep_factories, *sweep_series, (1.0, 2.0, 5.0, 10.0, 20.0, 50.0))
+    def test_default_levels(self, sweep_strategies, sweep_series):
+        assert_sweep_matches_brute_force(sweep_strategies, *sweep_series, (1.0, 2.0, 5.0, 10.0, 20.0, 50.0))
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -214,8 +219,8 @@ class TestGasSweepDifferential:
             unique=True,
         )
     )
-    def test_drawn_levels(self, sweep_factories, sweep_series, levels):
-        assert_sweep_matches_brute_force(sweep_factories, *sweep_series, levels)
+    def test_drawn_levels(self, sweep_strategies, sweep_series, levels):
+        assert_sweep_matches_brute_force(sweep_strategies, *sweep_series, levels)
 
 
 class TestEnvBacktestAccounting:
@@ -314,26 +319,26 @@ class TestGoldenTraces:
              "fees": 3667.948190989047, "gas": 15626.0, "net_roi": -1.1958051809010952},
         ),
     }
-    FACTORIES = {
-        "merlin": st.Merlin,
-        "bedivere": st.Bedivere,
-        "lancelot": st.Lancelot,
-        "galahad": st.GalahadOu,
-        "galahad-theta-0.02": lambda: st.GalahadOu(theta_override=0.02),
+    STRATEGIES = {
+        "merlin": st.Merlin(),
+        "bedivere": st.Bedivere(),
+        "lancelot": st.Lancelot(),
+        "galahad": st.GalahadOu(),
+        "galahad-theta-0.02": st.GalahadOu(theta_override=0.02),
         # seed 2 both holds and recenters on the smoke series
-        "rammstein": lambda: st.PolicyStrategy(neural.Mlp(Q_NET_DIMS, seed=2)),
+        "rammstein": st.PolicyStrategy(neural.Mlp(Q_NET_DIMS, seed=2)),
     }
 
     @pytest.fixture(scope="class")
     def smoke(self):
         doc = config.load(Path(__file__).parent.parent / "configs" / "smoke.json")
         series = simulate_schedule(config.schedule(doc), 0)
-        return series, envsim.FeatureTrack(series), config.pool_config(doc), config.capital(doc)
+        return series, envsim.FeatureTrack(series), config.pool_config(doc)
 
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_trace_bytes_and_metrics(self, smoke, name, tmp_path):
-        series, features, cfg, capital = smoke
-        report, trace = bt.run(self.FACTORIES[name](), series, cfg, capital, features)
+        series, features, cfg = smoke
+        report, trace = bt.run(self.STRATEGIES[name], series, cfg, features)
         path = tmp_path / "trace.csv"
         envsim.write_trace_csv(path, trace)
         sha, metrics = self.GOLDEN[name]
@@ -341,10 +346,35 @@ class TestGoldenTraces:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
 
 
+class TestStrategyIsAValue:
+    """A built strategy keeps no state between runs, so one instance serves them all."""
+
+    @pytest.mark.parametrize("name", list(TestGoldenTraces.STRATEGIES))
+    def test_same_report_and_trace_bytes_each_run(self, name, sweep_series, tmp_path, monkeypatch):
+        series, features = sweep_series
+        strategy = TestGoldenTraces.STRATEGIES[name]
+        runs = [bt.run(strategy, series, POOL, features), bt.run(strategy, series, POOL, features)]
+        run = bt.run
+
+        def recorded(*args):
+            runs.append(run(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(bt, "run", recorded)
+        bt.gas_sweep([strategy], series, (1.0, 2.0), POOL, features)
+        assert len(runs) == 3
+        traces = []
+        for k, (_, trace) in enumerate(runs):
+            envsim.write_trace_csv(tmp_path / f"{k}.csv", trace)
+            traces.append((tmp_path / f"{k}.csv").read_bytes())
+        assert runs[0][0] == runs[1][0] == runs[2][0]
+        assert traces[0] == traces[1] == traces[2]
+
+
 class TestTraceMatchesReport:
     """The trace's columns add up to the report's totals, for every strategy."""
 
-    @pytest.mark.parametrize("name", list(TestGoldenTraces.FACTORIES))
+    @pytest.mark.parametrize("name", list(TestGoldenTraces.STRATEGIES))
     @settings(max_examples=20, deadline=None)
     @given(
         seed=hst.integers(0, 2**32 - 1),
@@ -352,6 +382,7 @@ class TestTraceMatchesReport:
         theta=hst.floats(1e-4, 0.1),
         sigma=hst.floats(0.01, 0.5),
     )
+    @example(seed=5090, n=122, theta=0.015625, sigma=0.5)  # bar 121 fits mu = -399.8
     def test_totals(self, name, seed, n, theta, sigma):
         sched = RegimeSchedule(
             segments=((n, OuParams(theta, 100.0, sigma)),),
@@ -360,7 +391,7 @@ class TestTraceMatchesReport:
         )
         series = simulate_schedule(sched, seed)
         features = envsim.FeatureTrack(series, window=30)
-        report, trace = bt.run(TestGoldenTraces.FACTORIES[name](), series, POOL, features=features)
+        report, trace = bt.run(TestGoldenTraces.STRATEGIES[name], series, POOL, features=features)
         assert trace["action"].sum() == report.rebalance_count - 1
         assert trace["in_range"].mean() == report.active_fraction
         assert np.cumsum(trace["fee"])[-1] == report.total_fees  # accrued in the same order

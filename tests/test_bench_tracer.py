@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ammlab import backtest, envsim, marketdata, strategies
+from ammlab import ammcore, backtest, envsim, marketdata, neural, strategies
+from ammlab.agent import Q_NET_DIMS
 
 TRACING = Path(__file__).parent.parent / "benchmarks" / "tracing.py"
 LAYERS = [
@@ -18,6 +19,11 @@ LAYERS = [
     (backtest, "run", "backtest.run"),
     (backtest, "gas_sweep", "backtest.gas_sweep"),
     (envsim.LpEnv, "step", "envsim.LpEnv.step"),
+    (strategies.Lancelot, "decide", "strategies.lancelot.decide"),
+    (strategies.GalahadOu, "decide", "strategies.galahad.decide"),
+    (strategies.PolicyStrategy, "decide", "strategies.rammstein.decide"),
+    (ammcore, "fee_step", "ammcore.fee_step"),
+    (ammcore, "recenter", "ammcore.recenter"),
 ]
 
 
@@ -29,19 +35,37 @@ def load_tracer():
 
 
 def test_tracer_wraps_trace_layers(tmp_path):
-    closes = 100.0 + 0.5 * np.sin(np.arange(20) / 3.0)
+    n = 20
+    closes = 100.0 + 0.5 * np.sin(np.arange(n) / 3.0)
     series = marketdata.BarSeries(
-        t=np.arange(20), open=closes, high=closes, low=closes, close=closes, volume=np.full(20, 1000.0)
+        t=np.arange(n), open=closes, high=closes, low=closes, close=closes, volume=np.full(n, 1000.0)
     )
+    # seed 2 both holds and recenters
+    policy = strategies.PolicyStrategy(neural.Mlp(Q_NET_DIMS, seed=2))
+    swept = [strategies.Lancelot(), strategies.GalahadOu(), policy]
+    recenters = sum(backtest.run(s, series)[0].rebalance_count - 1 for s in swept + swept[:1])
     originals = [getattr(owner, attr) for owner, attr, _ in LAYERS]
     with load_tracer() as tracer:
         for (owner, attr, _), original in zip(LAYERS, originals):
             assert getattr(owner, attr) is not original, attr
-        backtest.gas_sweep([("lancelot", strategies.Lancelot)], series, (1.0, 2.0))
-        _, trace = backtest.run(strategies.Lancelot(), series)
+        backtest.gas_sweep(swept, series, (1.0, 2.0))
+        assert tracer.calls("backtest.run") == len(swept)  # one run per strategy, not per gas level
+        _, trace = backtest.run(swept[0], series)
         envsim.write_trace_csv(tmp_path / "trace.csv", trace)
         env = envsim.LpEnv(series, episode_length=5)
         env.reset(0)
         env.step(1)
-    assert [tracer.calls(name) for *_, name in LAYERS] == [1, 2, 1, 1]
+    assert recenters > 0
+    expected = {
+        "envsim.write_trace_csv": 1,
+        "backtest.run": len(swept) + 1,
+        "backtest.gas_sweep": 1,
+        "envsim.LpEnv.step": 1,
+        "strategies.lancelot.decide": 2 * n,
+        "strategies.galahad.decide": n,
+        "strategies.rammstein.decide": n,
+        "ammcore.fee_step": (len(swept) + 1) * n + 1,
+        "ammcore.recenter": recenters + 1,
+    }
+    assert {name: tracer.calls(name) for *_, name in LAYERS} == expected
     assert [getattr(owner, attr) for owner, attr, _ in LAYERS] == originals

@@ -373,6 +373,21 @@ class TestStrategySpecs:
         assert cli.main(["sweep-gas", "--config", cfg, "--out", str(out)]) == 1
         assert not any(out.glob("*"))
 
+    def test_sweep_repeated_strategy_exits_one(self, tmp_path, capsys):
+        # break_even.json keys curves by name, so a second galahad would overwrite the first
+        specs = [{"name": "galahad"}, {"name": "lancelot"}, {"name": "galahad", "params": {"horizon": 600}}]
+        cfg = write_config(tmp_path, base_config(sweep={"strategies": specs, "gas_levels": [1.0, 5.0]}))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep-gas", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "sweep.strategies names galahad more than once" in capsys.readouterr().err
+
+    def test_sweep_repeated_gas_level_exits_one(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(sweep={"gas_levels": [2.0, 2.0]}))
+        out = tmp_path / "sweep"
+        assert cli.main(["sweep-gas", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_rammstein_flag_without_checkpoint_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, base_config(strategy={"name": "lancelot"}))
         out = tmp_path / "bt"
@@ -387,6 +402,22 @@ class TestStrategySpecs:
 
 
 class TestTrainingBounds:
+    @pytest.mark.parametrize(
+        "splits, profile, episode_length, bars",
+        [(None, "full", 36_000, 800), (None, None, 800, 800), ([0.5, 0.25, 0.25], None, 400, 400)],
+    )
+    def test_segment_shorter_than_episode_exits_one(
+        self, tmp_path, capsys, splits, profile, episode_length, bars
+    ):
+        doc = base_config(train={"episode_length": episode_length})
+        if splits:
+            doc["data"]["splits"] = splits
+        argv = ["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "train")]
+        assert cli.main(argv + (["--profile", profile] if profile else [])) == 1
+        assert not (tmp_path / "train" / "checkpoint.json").exists()
+        err = capsys.readouterr().err
+        assert f"train.episode_length {episode_length}" in err and f"{bars}-bar training segment" in err
+
     @settings(max_examples=25, deadline=None)
     @given(
         hst.one_of(

@@ -129,12 +129,12 @@ class TestAggregate:
 
 class TestSplit:
     def test_marks_100(self):
-        series = _flat_series(100)
-        assert md.split(series, (0.7, 0.15, 0.15)).split_marks == (70, 85)
+        segments = md.split(_flat_series(100), (0.7, 0.15, 0.15))
+        assert [len(s) for s in segments] == [70, 15, 15]
 
     def test_marks_floor_rounding(self):
-        series = _flat_series(10)
-        assert md.split(series, (0.7, 0.15, 0.15)).split_marks == (7, 8)
+        segments = md.split(_flat_series(10), (0.7, 0.15, 0.15))
+        assert [len(s) for s in segments] == [7, 1, 2]
 
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
@@ -145,8 +145,8 @@ class TestSplit:
             md.split(_flat_series(2), (0.7, 0.15, 0.15))
 
     def test_segments_partition(self):
-        series = md.split(_flat_series(47), (0.6, 0.2, 0.2))
-        train, val, test = series.segments()
+        series = _flat_series(47)
+        train, val, test = md.split(series, (0.6, 0.2, 0.2))
         assert len(train) + len(val) + len(test) == 47
         recombined = np.concatenate([train.t, val.t, test.t])
         assert np.array_equal(recombined, series.t)

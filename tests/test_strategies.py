@@ -39,27 +39,22 @@ def constant_policy_net(q0, q1):
 class TestMerlin:
     def test_range_spans_series(self):
         closes = np.concatenate([np.linspace(2200, 3067, 500), np.linspace(3000, 2108, 500)])
-        m = st.Merlin()
-        m.prepare(series_from_closes(closes))
-        assert m.center == pytest.approx(2587.5)
-        assert m.width == pytest.approx(0.1853, abs=2e-4)
-        assert ammcore.concentration(m.width) == pytest.approx(2.32, abs=0.01)
+        center, width = st.Merlin().initial_range(series_from_closes(closes), POOL.width)
+        assert center == pytest.approx(2587.5)
+        assert width == pytest.approx(0.1853, abs=2e-4)
+        assert ammcore.concentration(width) == pytest.approx(2.32, abs=0.01)
 
     def test_constant_series_clamps_width(self):
-        m = st.Merlin()
-        m.prepare(series_from_closes(np.full(100, 100.0)))
-        assert m.width == st.MERLIN_MIN_WIDTH
+        _, width = st.Merlin().initial_range(series_from_closes(np.full(100, 100.0)), POOL.width)
+        assert width == st.MERLIN_MIN_WIDTH
 
     def test_small_series(self):
-        m = st.Merlin()
-        m.prepare(series_from_closes([100.0, 102.0]))
-        assert m.center == pytest.approx(101.0)
-        assert m.width == pytest.approx(1.0 / 101.0)
+        center, width = st.Merlin().initial_range(series_from_closes([100.0, 102.0]), POOL.width)
+        assert center == pytest.approx(101.0)
+        assert width == pytest.approx(1.0 / 101.0)
 
     def test_never_adjusts(self):
-        m = st.Merlin()
-        m.prepare(series_from_closes([100.0, 90.0, 110.0]))
-        assert m.decide(*ctx_for(90.0, 100.0)) is None
+        assert st.Merlin().decide(*ctx_for(90.0, 100.0)) is None
 
 
 class TestBedivere:
@@ -114,6 +109,11 @@ class TestGalahadOu:
         _, tr_l = backtest.run(st.Lancelot(), series, POOL)
         for k in ("t", "action", "center"):  # center after the bar's decision
             assert np.array_equal(tr_g[k], tr_l[k]), k
+
+    def test_nonpositive_forecast_holds(self):
+        # a fitted mu far below zero pulls the forecast under zero, which no band can center on
+        g = st.GalahadOu(horizon=60.0)
+        assert g.decide(*ctx_for(104.0, 100.0, theta=0.05, mu=-400.0)) is None
 
     def test_in_range_forecast_holds(self):
         g = st.GalahadOu(horizon=60.0)
