@@ -1,10 +1,12 @@
 import functools
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ammlab import artifacts, qvi
+from ammlab import artifacts, config, qvi
 from ammlab.ammcore import PoolConfig
 from ammlab.synthpath import OuParams
 
@@ -190,3 +192,81 @@ class TestIterationHistory:
         assert len(sol.sup_change_history) == len(sol.policy_iterations) == sol.iterations
         assert sol.sup_change_history[-1] == sol.sup_change
         assert all(1 <= p <= 100 for p in sol.policy_iterations)
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _stationary(theta, n_s, n_c):
+    doc = config.load(Path(__file__).parent.parent / "configs" / "stationary.json")
+    q = doc["qvi"]
+    return qvi.QviProblem.default(
+        OuParams(theta, q["mu"], q["sigma"]),
+        config.pool_config(doc),
+        n_s=n_s,
+        n_c=n_c,
+        ref_volume=q["ref_volume"],
+    )
+
+
+class TestGoldenSolutions:
+    """Export bytes and iteration history of three small solves.
+
+    Pinned so that a change to the tridiagonal solver, the active-set loop
+    or the outer iteration cannot change a solution unnoticed. The
+    histories are pinned as sha256 of their int64 / float64 bytes.
+    """
+
+    GOLDEN = {
+        "theta-0.01": (
+            "656d2a8ea28446519827543d11728870c08fe904075ddcc4bf3d4a5f43c87547",
+            "6e2a56af17f142dae95fbf4737956469a34905921c45fd5164981ac51244c394",
+            47,
+            [5, 4, 2, 3, 2, 2, 3, 2, 2] + [1] * 8 + [2, 2] + [1] * 28,
+            "f4c1620b71904f72c31f4eb00eb836393eb80c477ed6b8088d8a90a9eb4adfbd",
+        ),
+        "theta-0.05": (
+            "e7eb04d0e2f4ce41f69e5a78187662804797efbf8f53ece3febd7730a7e69fa4",
+            "6532743832233e77a440f92fca3791e314b9a4a77fc6012d6eba5fe4796416c3",
+            7,
+            [9, 5, 3, 2, 1, 1, 1],
+            [17.907867812584104, 2.609706656982807, 0.13029660601122472, 0.04618307393558041,
+             0.0016465392063587103, 5.93856803696724e-05, 0.0],
+        ),
+        "free-recentering": (
+            "220a28f22c4674d2030be1bbdb0e7281e438fc44244ec704c283281853285f6d",
+            "0a81733dd1b6e5c04de91e79e78aae92d43f9155ec8da6c1fd6eae6ec80e81f5",
+            1500,
+            "c483d9afae6ded72d78ffa0ef6018ec4671b7f3fb03f1be24ee25684ff25056c",
+            "627dc86c63b72ad7269f7c65457d42b63ce7c53083e8f7ffaa37d5b44b4aa82f",
+        ),
+    }
+    PROBLEMS = {
+        "theta-0.01": lambda: (_stationary(0.01, 80, 20), {}),
+        "theta-0.05": lambda: (_stationary(0.05, 160, 40), {}),
+        # TestTrivialCases' free-recentering problem
+        "free-recentering": lambda: (
+            qvi.QviProblem.default(OU_REF, POOL, n_s=150, n_c=30, rho=0.01, cost=0.0),
+            {"tol": 1e-7, "max_iters": 1500},
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_exports_and_history(self, name, tmp_path):
+        problem, kwargs = self.PROBLEMS[name]()
+        sol = qvi.solve(problem, **kwargs)
+        qvi.write_solution_csv(tmp_path / "sol.csv", sol)
+        qvi.write_boundary_csv(tmp_path / "bound.csv", sol)
+        sol_sha, bound_sha, iterations, passes, history = self.GOLDEN[name]
+        assert sol.iterations == iterations
+        if isinstance(passes, str):
+            assert _sha256(np.array(sol.policy_iterations, dtype=np.int64).tobytes()) == passes
+        else:
+            assert sol.policy_iterations == passes
+        if isinstance(history, str):
+            assert _sha256(np.array(sol.sup_change_history, dtype=np.float64).tobytes()) == history
+        else:
+            assert sol.sup_change_history == history
+        assert _sha256((tmp_path / "sol.csv").read_bytes()) == sol_sha
+        assert _sha256((tmp_path / "bound.csv").read_bytes()) == bound_sha
