@@ -232,7 +232,16 @@ def cmd_qvi(args, doc, seed, cfg_hash, out_dir):
         ref_volume=q.get("ref_volume", 50_000.0),
         cost=q.get("cost"),
     )
-    sol = qvi.solve(problem, tol=q.get("tol", 1e-6), max_iters=q.get("max_iters", 20_000))
+    tol = q.get("tol", 1e-6)
+    sol = qvi.solve(problem, tol=tol, max_iters=q.get("max_iters", 20_000))
+    if not sol.converged:
+        inner = "no" if sol.settled else "an"
+        print(
+            f"warning: qvi did not converge in {sol.iterations} outer iterations "
+            f"(last sup change {sol.sup_change:.3g}, tol {tol:g}); "
+            f"{inner} inner active-set solve was cut short",
+            file=sys.stderr,
+        )
     sol_path = os.path.join(out_dir, "qvi_solution.csv")
     qvi.write_solution_csv(sol_path, sol)
     b_path = os.path.join(out_dir, "qvi_boundary.csv")
@@ -249,6 +258,8 @@ def cmd_qvi(args, doc, seed, cfg_hash, out_dir):
             "policy_iterations": sol.policy_iterations,
             "fee_rate": problem.fee_rate(),
             "cost": problem.cost_value(),
+            "obstacle_violation": qvi.obstacle_violation(sol),
+            "max_complementarity_residual": float(qvi.complementarity_residual(sol).max()),
         },
     )
     return [sol_path, b_path, meta_path]

@@ -15,6 +15,12 @@ iteration with vectorized tridiagonal sweeps. Upwinded drift and central
 diffusion make every slice matrix an M-matrix, so the scheme is monotone
 and the active-set iteration terminates.
 
+Each active set is eliminated once. Its factorization serves every pass
+made with that set, and it carries over to the next outer iteration,
+whose first pass starts from the previous final set; the no-intervention
+start's empty set serves the first pass. Only a pass that changes the
+set pays for a new elimination; every pass pays one substitution sweep.
+
 Reflecting (zero-derivative) boundaries are imposed at the S-grid edges;
 the grid must be wide enough that they sit far from the band.
 """
@@ -117,6 +123,7 @@ class QviSolution:
     V: np.ndarray  # (n_s, n_c)
     jump: np.ndarray  # bool (n_s, n_c): obstacle binding within tolerance
     converged: bool
+    settled: bool  # every inner active-set solve settled within its pass cap
     iterations: int
     sup_change: float
     sup_change_history: list[float]  # sup-norm change of each outer iteration
@@ -154,22 +161,44 @@ def _fee_table(problem: QviProblem, s: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(in_band, f0, 0.0)
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Solve independent tridiagonal systems stacked along axis 1."""
-    n = diag.shape[0]
-    cp = np.empty_like(diag)
-    dp = np.empty_like(rhs)
-    cp[0] = upper[0] / diag[0]
-    dp[0] = rhs[0] / diag[0]
-    for i in range(1, n):
-        denom = diag[i] - lower[i] * cp[i - 1]
-        cp[i] = upper[i] / denom
-        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
-    x = np.empty_like(rhs)
-    x[-1] = dp[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = dp[i] - cp[i] * x[i + 1]
-    return x
+class _Factorization:
+    """Tridiagonal systems stacked along axis 1, eliminated for one active set.
+
+    Masked (obstacle) nodes become identity rows (lower 0, diagonal 1,
+    upper 0). The forward elimination runs once, here; `solve` then takes
+    any number of right-hand sides. Every element goes through the float
+    operations of the plain Thomas sweep in the same order, so the
+    solutions keep their bits. Rows are kept as pre-listed views and each
+    row step is one ufunc writing into a view, so the loops index nothing
+    and allocate nothing.
+    """
+
+    def __init__(self, lower, diag, upper, mask):
+        self.mask = mask
+        # row lists of the masked coefficients; den and cp are eliminated in place
+        self._lo = lo = list(np.where(mask, 0.0, lower[:, None]))
+        self._den = den = list(np.where(mask, 1.0, diag[:, None]))
+        self._cp = cp = list(np.where(mask, 0.0, upper[:, None]))
+        self._tmp = tmp = np.empty(mask.shape[1])
+        np.divide(cp[0], den[0], cp[0])
+        for lo_i, den_i, cp_prev, cp_i in zip(lo[1:], den[1:], cp, cp[1:]):
+            np.multiply(lo_i, cp_prev, tmp)
+            np.subtract(den_i, tmp, den_i)
+            np.divide(cp_i, den_i, cp_i)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Overwrite `rhs` (n, m) with the solution and return it."""
+        x = list(rhs)
+        tmp = self._tmp
+        np.divide(x[0], self._den[0], x[0])
+        for lo_i, den_i, x_prev, x_i in zip(self._lo[1:], self._den[1:], x, x[1:]):
+            np.multiply(lo_i, x_prev, tmp)
+            np.subtract(x_i, tmp, x_i)
+            np.divide(x_i, den_i, x_i)
+        for cp_i, x_i, x_next in zip(self._cp[-2::-1], x[-2::-1], x[:0:-1]):
+            np.multiply(cp_i, x_next, tmp)
+            np.subtract(x_i, tmp, x_i)
+        return rhs
 
 
 def _apply_operator(lower, diag, upper, V):
@@ -179,29 +208,23 @@ def _apply_operator(lower, diag, upper, V):
     return out
 
 
-def _solve_obstacle(lower, diag, upper, F, psi, mask, max_policy_iters=100):
+def _solve_obstacle(lower, diag, upper, F, psi, system, max_policy_iters=100):
     """Exact LCP solve per slice: min(A V - F, V - psi) = 0 nodewise.
 
-    `mask` is the warm-start active set (True = obstacle row); returns
-    (V, final mask, passes, settled), passes being the tridiagonal solves
+    `system` is the factorization of the warm-start active set
+    (`system.mask`, True = obstacle row); returns (V, factorization of the
+    final active set, passes, settled), passes being the tridiagonal solves
     made. Active-set iteration on an M-matrix terminates; settled is False
     when max_policy_iters cut it short.
     """
-    ones = np.ones_like(F)
     psi_col = np.broadcast_to(psi[:, None], F.shape)
     for passes in range(1, max_policy_iters + 1):
-        lo = np.where(mask, 0.0, lower[:, None] * ones)
-        dg = np.where(mask, 1.0, diag[:, None] * ones)
-        up = np.where(mask, 0.0, upper[:, None] * ones)
-        rhs = np.where(mask, psi_col, F)
-        V = _thomas(lo, dg, up, rhs)
-        residual = _apply_operator(lower, diag, upper, V) - F
-        gap = V - psi_col
-        new_mask = gap < residual
-        if np.array_equal(new_mask, mask):
-            return V, mask, passes, True
-        mask = new_mask
-    return V, mask, max_policy_iters, False
+        V = system.solve(np.where(system.mask, psi_col, F))
+        new_mask = (V - psi_col) < (_apply_operator(lower, diag, upper, V) - F)
+        if np.array_equal(new_mask, system.mask):
+            return V, system, passes, True
+        system = _Factorization(lower, diag, upper, new_mask)
+    return V, system, max_policy_iters, False
 
 
 def _diagonal_values(V: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -230,14 +253,10 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
     F = _fee_table(problem, s, c)
     C = problem.cost_value()
 
-    # no-intervention start: plain PDE solve per slice
-    V = _thomas(
-        np.broadcast_to(lower[:, None], F.shape).copy(),
-        np.broadcast_to(diag[:, None], F.shape).copy(),
-        np.broadcast_to(upper[:, None], F.shape).copy(),
-        F,
-    )
-    mask = np.zeros(F.shape, dtype=bool)
+    # no-intervention start: plain PDE solve per slice, whose empty-mask
+    # factorization the first obstacle pass reuses
+    system = _Factorization(lower, diag, upper, np.zeros(F.shape, dtype=bool))
+    V = system.solve(F.copy())
 
     sup_change = math.inf
     iterations = 0
@@ -245,7 +264,7 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
     history, passes_per_iter = [], []
     for iterations in range(1, max_iters + 1):
         psi = _diagonal_values(V, s, c) - C
-        V_new, mask, passes, settled = _solve_obstacle(lower, diag, upper, F, psi, mask)
+        V_new, system, passes, settled = _solve_obstacle(lower, diag, upper, F, psi, system)
         all_settled &= settled
         sup_change = float(np.max(np.abs(V_new - V)))
         history.append(sup_change)
@@ -265,6 +284,7 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
         V=V,
         jump=jump,
         converged=converged,
+        settled=all_settled,
         iterations=iterations,
         sup_change=sup_change,
         sup_change_history=history,

@@ -1,6 +1,7 @@
 import copy
 import csv
 import filecmp
+import functools
 import inspect
 import json
 import math
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ammlab import artifacts, cli, config as config_mod, neural, regime, strategies
+from ammlab import artifacts, cli, config as config_mod, neural, qvi, regime, strategies, synthpath
 from ammlab.agent import Q_NET_DIMS
 
 
@@ -320,6 +321,43 @@ class TestPipeline:
         assert len(rows) == 10
         devs = [float(r[col]) for r in rows for col in ("lower_dev", "upper_dev")]
         assert any(math.isfinite(d) for d in devs)
+
+    def test_qvi_meta_reports_solution_checks(self, tmp_path, capsys):
+        q = {"theta": 0.05, "mu": 100.0, "sigma": 0.5, "n_s": 80, "n_c": 10, "tol": 1e-6}
+        cfg = write_config(tmp_path, base_config(qvi=q))
+        out = tmp_path / "qvi"
+        assert cli.main(["qvi", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        meta = json.loads((out / "qvi_meta.json").read_text())
+        ou = synthpath.OuParams(q["theta"], q["mu"], q["sigma"])
+        sol = qvi.solve(qvi.QviProblem.default(ou, config_mod.pool_config({}), n_s=80, n_c=10))
+        assert meta["obstacle_violation"] == qvi.obstacle_violation(sol) <= 1e-6
+        assert meta["max_complementarity_residual"] == float(qvi.complementarity_residual(sol).max())
+        assert meta["max_complementarity_residual"] <= 1e-6
+
+    @pytest.mark.parametrize("capped_inner", [False, True])
+    def test_qvi_not_converged_warns_and_exits_zero(self, tmp_path, capsys, monkeypatch, capped_inner):
+        q = {"theta": 0.05, "mu": 100.0, "sigma": 0.5, "n_s": 80, "n_c": 10}
+        if capped_inner:
+            # one active-set pass cannot settle the first obstacle solve
+            monkeypatch.setattr(qvi, "_solve_obstacle", functools.partial(qvi._solve_obstacle, max_policy_iters=1))
+            q["max_iters"] = 3
+        else:
+            q["max_iters"] = 1
+        cfg = write_config(tmp_path, base_config(qvi=q))
+        out = tmp_path / "qvi"
+        assert cli.main(["qvi", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "qvi_meta.json").read_text())
+        assert meta["converged"] is False
+        inner = "an" if capped_inner else "no"
+        assert capsys.readouterr().err == (
+            f"warning: qvi did not converge in {meta['iterations']} outer iterations "
+            f"(last sup change {meta['sup_change']:.3g}, tol 1e-06); "
+            f"{inner} inner active-set solve was cut short\n"
+        )
+        assert {p.name for p in out.iterdir()} == {
+            "qvi_solution.csv", "qvi_boundary.csv", "qvi_meta.json", "manifest.json"
+        }
 
     def test_train_then_heatmap(self, tmp_path):
         doc = base_config(

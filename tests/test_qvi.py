@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ammlab import artifacts, config, qvi
 from ammlab.ammcore import PoolConfig
@@ -270,3 +272,65 @@ class TestGoldenSolutions:
             assert sol.sup_change_history == history
         assert _sha256((tmp_path / "sol.csv").read_bytes()) == sol_sha
         assert _sha256((tmp_path / "bound.csv").read_bytes()) == bound_sha
+
+
+def _thomas(lower, diag, upper, rhs):
+    """Plain Thomas sweep over systems stacked along axis 1: the reference."""
+    n = diag.shape[0]
+    cp = np.empty_like(diag)
+    dp = np.empty_like(rhs)
+    cp[0] = upper[0] / diag[0]
+    dp[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        denom = diag[i] - lower[i] * cp[i - 1]
+        cp[i] = upper[i] / denom
+        dp[i] = (rhs[i] - lower[i] * dp[i - 1]) / denom
+    x = np.empty_like(rhs)
+    x[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    return x
+
+
+class TestFactorization:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(3, 40),
+        m=hst.integers(1, 9),
+        mask_rate=hst.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        scale=hst.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_bits_match_plain_thomas(self, seed, n, m, mask_rate, scale):
+        rng = np.random.default_rng(seed)
+        lower = -scale * rng.uniform(0.0, 1.0, n)
+        upper = -scale * rng.uniform(0.0, 1.0, n)
+        diag = np.abs(lower) + np.abs(upper) + scale * rng.uniform(1e-3, 1.0, n)
+        mask = rng.uniform(size=(n, m)) < mask_rate
+        ones = np.ones((n, m))
+        lo = np.where(mask, 0.0, lower[:, None] * ones)
+        dg = np.where(mask, 1.0, diag[:, None] * ones)
+        up = np.where(mask, 0.0, upper[:, None] * ones)
+        system = qvi._Factorization(lower, diag, upper, mask)
+        for _ in range(3):
+            rhs = scale * rng.normal(size=(n, m))
+            expected = _thomas(lo, dg, up, rhs)
+            got = system.solve(rhs.copy())
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_one_elimination_per_active_set(self, monkeypatch):
+        # the empty-mask start is reused by the first pass, and each outer
+        # iteration starts from the previous one's final factorization:
+        # only a pass that changes the active set eliminates again
+        built = []
+
+        class Counted(qvi._Factorization):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(qvi, "_Factorization", Counted)
+        sol = qvi.solve(_stationary(0.01, 400, 100))
+        assert sol.converged
+        assert (sol.iterations, sum(sol.policy_iterations)) == (40, 96)
+        assert len(built) == 1 + sum(sol.policy_iterations) - sol.iterations == 57
