@@ -1,17 +1,21 @@
 """Run configuration: JSON schema, validation, hashing, object builders.
 
 One JSON document configures every pipeline stage. Validation happens
-before any work and rejects unknown keys, so a typo fails loudly instead
-of silently falling back to a default. The sha256 hash of the canonical
-(sorted, compact) JSON text is stamped into every output artifact.
+before any work, so a typo fails loudly instead of silently falling back
+to a default. ``SCHEMA`` is a JSON Schema (draft 2020-12) document, read
+by a small interpreter of the keywords it uses rather than by a general
+validator. Loading rejects duplicate and unknown keys, NaN, infinities
+and number literals that overflow a float, non-UTF-8 files, and
+non-integers in integer fields. The sha256 hash of the canonical (sorted,
+compact) JSON text is stamped into every output artifact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-
-import jsonschema
+import math
+import operator
 
 from . import qvi, regime
 from .agent import TrainConfig
@@ -191,16 +195,99 @@ class ConfigError(ValueError):
 HEATMAP_THETA_RANGE = (0.0, 0.1)  # (theta_min, theta_max) when the config omits them
 
 
-# Built once: jsonschema.validate re-checks SCHEMA against the metaschema
-# on every call, which costs far more than validating a config does. A
-# test checks SCHEMA instead.
-_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+# The keywords SCHEMA may use, each read as in JSON Schema 2020-12, with
+# one deliberate difference: "integer" means an integer literal, so 1.0
+# fails it. 2020-12 counts 1.0 as an integer, and a count such as
+# train.episodes would then reach range() as a float and fail at run time.
+# "$schema" is ignored, and "additionalProperties" may only be false.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+}
+# NaN breaks no bound, as in JSON Schema; load never yields one
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+_KEYWORDS = frozenset(
+    {"$schema", "type", "properties", "additionalProperties", "required", "enum", "const"}
+    | {"allOf", "if", "then", "items", "minItems", "maxItems", "uniqueItems"}
+    | set(_BOUNDS)
+)
+
+
+def _check_keywords(schema: dict, where: str = "SCHEMA") -> None:
+    """Raise ValueError if ``schema`` uses a keyword ``_errors`` would not check."""
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if unknown:
+        raise ValueError(f"{where} uses unsupported keywords {unknown}")
+    if schema.get("additionalProperties", False) is not False:
+        raise ValueError(f"{where}: additionalProperties may only be false")
+    if schema.get("type", "object") not in tuple(_TYPES):
+        raise ValueError(f"{where}: unsupported type {schema['type']!r}")
+    subschemas = [(f"{where}/properties/{k}", v) for k, v in schema.get("properties", {}).items()]
+    subschemas += [(f"{where}/allOf/{i}", v) for i, v in enumerate(schema.get("allOf", ()))]
+    subschemas += [(f"{where}/{k}", schema[k]) for k in ("items", "if", "then") if k in schema]
+    for sub_where, sub in subschemas:
+        _check_keywords(sub, sub_where)
+
+
+_check_keywords(SCHEMA)
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: a boolean equals only a boolean, and 1 equals 1.0."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _errors(schema: dict, value, path: tuple = ()):
+    """Yield (message, path) for each way ``value`` breaks ``schema``."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        yield f"{value!r} is not of type {kind!r}", path
+        return
+    if "enum" in schema and not any(_same(value, e) for e in schema["enum"]):
+        yield f"{value!r} is not one of {schema['enum']!r}", path
+    if "const" in schema and not _same(value, schema["const"]):
+        yield f"{schema['const']!r} was expected", path
+    if _TYPES["number"](value):
+        for key, (breaks, text) in _BOUNDS.items():
+            if key in schema and breaks(value, schema[key]):
+                yield f"{value!r} is {text} {schema[key]!r}", path
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                yield f"{key!r} is a required property", path
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                yield from _errors(properties[key], item, path + (key,))
+            elif "additionalProperties" in schema:
+                yield f"Additional properties are not allowed ({key!r} was unexpected)", path
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            yield f"{value!r} is too short", path
+        if len(value) > schema.get("maxItems", math.inf):
+            yield f"{value!r} is too long", path
+        if schema.get("uniqueItems") and any(_same(a, b) for i, a in enumerate(value) for b in value[:i]):
+            yield f"{value!r} has non-unique elements", path
+        if "items" in schema:
+            for i, item in enumerate(value):
+                yield from _errors(schema["items"], item, path + (i,))
+    for sub in schema.get("allOf", ()):
+        yield from _errors(sub, value, path)
+    if "if" in schema and next(_errors(schema["if"], value, path), None) is None:
+        yield from _errors(schema.get("then", {}), value, path)
 
 
 def validate(doc: dict) -> dict:
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if exc is not None:
-        raise ConfigError(f"invalid config: {exc.message} (at {'/'.join(str(p) for p in exc.absolute_path)})")
+    for message, path in _errors(SCHEMA, doc):
+        raise ConfigError(f"invalid config: {message} (at {'/'.join(str(p) for p in path)})")
     splits = doc.get("data", {}).get("splits")
     if splits is not None and abs(sum(splits) - 1.0) > 1e-9:
         raise ConfigError("data.splits must sum to 1")
@@ -217,15 +304,47 @@ def validate(doc: dict) -> dict:
     return doc
 
 
+# json.load accepts NaN and +-Infinity (NaN breaks no schema bound), reads
+# 1e400 as inf and keeps the last of two equal keys; the hooks below make
+# each of these a config error
 def _reject_constant(token):
-    # json accepts NaN and +-Infinity, which compare false against every
-    # schema bound and would pass validation
     raise ConfigError(f"invalid config: {token} is not a JSON number")
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        shown = text if len(text) <= 24 else f"{text[:16]}... ({len(text)} characters)"
+        raise ConfigError(f"invalid config: number {shown} overflows a float")
+    return value
+
+
+def _finite_int(text):
+    _finite_float(text)
+    return int(text)
+
+
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        twice = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ConfigError(f"invalid config: key {twice!r} appears more than once in an object")
+    return obj
+
+
 def load(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh, parse_constant=_reject_constant)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(
+                fh,
+                parse_constant=_reject_constant,
+                parse_float=_finite_float,
+                parse_int=_finite_int,
+                object_pairs_hook=_unique_keys,
+            )
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"invalid config: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return validate(doc)
 
 

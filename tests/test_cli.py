@@ -7,6 +7,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,43 @@ class TestValidation:
         out = tmp_path / "bt"
         assert cli.main(["backtest", "--config", str(cfg), "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "1" + "0" * 400], ids=["1e400", "-1e400", "401-digit-int"])
+    def test_overflowing_number_exits_one(self, tmp_path, capsys, literal):
+        # 1e400 parses to inf, which passes gas_cost's bounds and would write Infinity into qvi_meta.json
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(pool={"gas_cost": "GAS"})).replace('"GAS"', literal))
+        out = tmp_path / "qvi"
+        assert cli.main(["qvi", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "overflows a float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", [b"\xff\xfe", b'{"seed": 1, "data": {"bars_csv": "\xff.csv"}}'], ids=["bom", "in-string"]
+    )
+    def test_non_utf8_config_exits_one(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(text)
+        out = tmp_path / "synth"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"seed": 1, "seed": 2}', "seed"),
+            ('{"pool": {"gas_cost": 1.0, "width": 0.01, "gas_cost": 2.0}}', "gas_cost"),
+        ],
+        ids=["top", "nested"],
+    )
+    def test_duplicate_key_exits_one(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        out = tmp_path / "synth"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"key {key!r} appears more than once" in capsys.readouterr().err
 
     def test_pool_bounds_match_pool_config(self):
         doc = config_mod.validate(base_config(pool={"dex_cex_ratio": 1.0, "width": 0.999, "fee_tier": 0.999}))
@@ -546,10 +584,191 @@ class TestConfigFuzz:
         config_mod.validate(copy.deepcopy(SMOKE))
 
 
+def _schema_leaves(node, path=()):
+    """(path, schema) of each leaf reached through properties and items; items are entered at index 0."""
+    if "properties" not in node and "items" not in node:
+        yield path, node
+    for key, sub in node.get("properties", {}).items():
+        yield from _schema_leaves(sub, path + (key,))
+    if "items" in node:
+        yield from _schema_leaves(node["items"], path + (0,))
+
+
+_DROP = object()
+
+
+def _set(doc, path, value):
+    """Set ``doc`` at ``path``, adding missing sections; ``_DROP`` deletes the key instead."""
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key] if isinstance(key, int) else parent.setdefault(key, {})
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+_INTEGER_LEAVES = {path: node for path, node in _schema_leaves(config_mod.SCHEMA) if node.get("type") == "integer"}
+
+
+def _least_integer(node):
+    return node.get("minimum", node.get("exclusiveMinimum", -1) + 1)
+
+
+class TestIntegerFields:
+    """An integer field takes an integer literal only: 2.0 is a config error, not a run-time TypeError."""
+
+    @pytest.mark.parametrize("path", list(_INTEGER_LEAVES), ids=lambda path: "/".join(map(str, path)))
+    def test_integral_float_exits_one(self, tmp_path, capsys, path):
+        value = _least_integer(_INTEGER_LEAVES[path]) + 1
+        config_mod.validate(_set(copy.deepcopy(SMOKE), path, value))
+        cfg = write_config(tmp_path, _set(copy.deepcopy(SMOKE), path, float(value)))
+        out = tmp_path / "synth"
+        assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 1
+        assert not out.exists()
+        assert f"{float(value)!r} is not of type 'integer' (at {'/'.join(map(str, path))})" in capsys.readouterr().err
+
+    def test_walk_finds_integer_leaves(self):
+        expected = {("seed",), ("data", "synth", "segments", 0, "duration"), ("train", "episodes"), ("qvi", "n_s")}
+        assert expected <= set(_INTEGER_LEAVES)
+
+
+CONFIGS = {p.name: json.loads(p.read_text()) for p in (Path(__file__).parent.parent / "configs").glob("*.json")}
+# jsonschema with "integer" read as config.validate reads it: an int literal, never 1.0
+_STRICT_INTEGER = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda checker, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)
+
+
+def _in_schema(path):
+    """Values that meet the schema of the numeric leaf at ``path``."""
+    node = _schema_at(path)
+    if node.get("type") == "integer":
+        return hst.integers(min_value=_least_integer(node), max_value=10**6)
+    low = node.get("minimum", node.get("exclusiveMinimum", -1e6))
+    high = node.get("maximum", node.get("exclusiveMaximum", 1e6))
+    return hst.floats(low, high, exclude_min="exclusiveMinimum" in node, exclude_max="exclusiveMaximum" in node)
+
+
+def _mutation(doc):
+    """One edit of ``doc`` as (path, value): in or out of the schema, with the value ``_DROP`` deleting."""
+    nodes = dict(_nodes(doc))
+    leaves = [p for p, v in nodes.items() if not isinstance(v, (dict, list))]
+    numbers = [p for p in leaves if isinstance(nodes[p], (int, float))]
+    integers = [p for p in leaves if type(nodes[p]) is int]
+    containers = [p for p, v in nodes.items() if p and isinstance(v, (dict, list))]
+    arrays = [p for p in containers if isinstance(nodes[p], list)]
+    objects = [p for p in containers if p not in arrays]
+    required = [p + (key,) for p in objects for key in _schema_at(p).get("required", ())]
+    specs = [p for p in containers if p == ("strategy",) or p[-2:-1] == ("strategies",)]
+    params = sorted({key for keys in config_mod._STRATEGY_PARAMS.values() for key in keys})
+    return hst.one_of(
+        hst.sampled_from(leaves).flatmap(_out_of_schema),
+        hst.tuples(hst.sampled_from(objects).map(lambda path: path + ("bogus_key",)), hst.just(1)),
+        hst.tuples(hst.sampled_from(containers), _ALWAYS_BAD),
+        hst.tuples(hst.sampled_from(required), hst.just(_DROP)),
+        hst.sampled_from(arrays).flatmap(
+            lambda path: hst.tuples(
+                hst.just(path), hst.integers(0, 8).map(lambda n, items=nodes[path]: (items * 8)[:n])
+            )
+        ),
+        hst.sampled_from(numbers).flatmap(lambda path: hst.tuples(hst.just(path), _in_schema(path))),
+        hst.sampled_from(integers).map(lambda path: (path, float(nodes[path]))),
+        hst.tuples(
+            hst.sampled_from(specs),
+            hst.fixed_dictionaries(
+                {"name": hst.sampled_from(config_mod.STRATEGY_NAMES)},
+                optional={"params": hst.dictionaries(hst.sampled_from(params), hst.floats(-1.0, 1e3), max_size=2)},
+            ),
+        ),
+    )
+
+
+_LEVELS = SMOKE["sweep"]["gas_levels"]
+_MUTATED = hst.one_of(
+    hst.sampled_from(sorted(CONFIGS)).flatmap(lambda name: hst.tuples(hst.just(name), _mutation(CONFIGS[name]))),
+    hst.sampled_from(_LEVELS).map(lambda level: ("smoke.json", (("sweep", "gas_levels"), _LEVELS + [level]))),
+)
+
+
+class TestValidatorMatchesJsonschema:
+    """config.validate against jsonschema's Draft202012Validator, the reference for SCHEMA."""
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_shipped_configs_pass_both(self, name):
+        assert not list(jsonschema.Draft202012Validator(config_mod.SCHEMA).iter_errors(CONFIGS[name]))
+        config_mod.validate(copy.deepcopy(CONFIGS[name]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_MUTATED)
+    def test_raises_iff_reference_finds_an_error(self, case):
+        name, (path, value) = case
+        doc = _set(copy.deepcopy(CONFIGS[name]), path, value)
+        try:
+            config_mod.validate(copy.deepcopy(doc))
+            ours = False
+        except config_mod.ConfigError as exc:
+            # the checks after the schema (splits sum, repeated names, ...) are not schema errors
+            ours = str(exc).startswith("invalid config: ")
+        stock = list(jsonschema.Draft202012Validator(config_mod.SCHEMA).iter_errors(doc))
+        strict = list(_STRICT_INTEGER(config_mod.SCHEMA).iter_errors(doc))
+        assert ours == bool(strict), (path, value, [e.message for e in strict])
+        if bool(stock) != bool(strict):
+            # the one allowed difference: an integral float where the schema says integer
+            assert not stock
+            assert all(
+                e.validator == "type" and e.validator_value == "integer" and float(e.instance).is_integer()
+                for e in strict
+            )
+
+    def test_schema_uses_only_supported_keywords(self):
+        def keywords(node):
+            yield from node
+            for sub in node.get("properties", {}).values():
+                yield from keywords(sub)
+            for sub in node.get("allOf", ()):
+                yield from keywords(sub)
+            for key in ("items", "if", "then"):
+                if key in node:
+                    yield from keywords(node[key])
+
+        used = set(keywords(config_mod.SCHEMA))
+        assert used <= config_mod._KEYWORDS, used - config_mod._KEYWORDS
+        # every keyword the validator reads is in use, so none of them is dead code
+        assert used == config_mod._KEYWORDS
+
+    @pytest.mark.parametrize(
+        "schema, text",
+        [
+            ({"properties": {"x": {"pattern": "^a"}}}, "SCHEMA/properties/x uses unsupported keywords"),
+            ({"items": {"additionalProperties": {}}}, "SCHEMA/items: additionalProperties may only be false"),
+            ({"allOf": [{"then": {"type": "null"}}]}, "SCHEMA/allOf/0/then: unsupported type 'null'"),
+        ],
+        ids=["pattern", "additional-schema", "null-type"],
+    )
+    def test_unsupported_keyword_raises(self, schema, text):
+        with pytest.raises(ValueError, match=re.escape(text)):
+            config_mod._check_keywords(schema)
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = "import sys, ammlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_jsonschema():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    banned = "{'jsonschema', 'referencing', 'rpds', 'attrs'}"
+    probe = f"import sys, ammlab.cli; print(sorted({{m.split('.')[0] for m in sys.modules}} & {banned}))"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
