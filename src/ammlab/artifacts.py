@@ -36,20 +36,21 @@ def _check_labels(labels) -> None:
             raise ValueError(f"cell {label!r} would need quoting")
 
 
-def _cells(chunk):
-    """The text of each cell of one column chunk, each distinct value formatted once.
+def cell_texts(column) -> list[str]:
+    """The text of each cell of a column, each distinct value formatted once.
 
     Floats are told apart by bit pattern, so -0.0 and every NaN keep their
     own text. ``str`` of a list renders floats by ``repr`` and ints by
-    ``str``, with no Python call per value.
+    ``str``, with no Python call per value. Label columns pass through,
+    after the quoting check ``write_columns`` applies.
     """
-    if chunk.dtype.kind in "OU":
-        cells = chunk.tolist()
+    if column.dtype.kind in "OU":
+        cells = column.tolist()
         _check_labels(set(cells))
         return cells
-    keys = chunk.view(np.int64) if chunk.dtype == np.float64 else chunk
+    keys = column.view(np.int64) if column.dtype == np.float64 else column
     distinct, inverse = np.unique(keys, return_inverse=True)
-    texts = str(distinct.view(chunk.dtype).tolist())[1:-1].split(", ")
+    texts = str(distinct.view(column.dtype).tolist())[1:-1].split(", ")
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
@@ -70,7 +71,7 @@ def write_columns(path, header, columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, _CHUNK_ROWS):
-            cells = [_cells(col[start : start + _CHUNK_ROWS]) for col in columns]
+            cells = [cell_texts(col[start : start + _CHUNK_ROWS]) for col in columns]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 

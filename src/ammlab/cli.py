@@ -256,6 +256,8 @@ def cmd_qvi(args, doc, seed, cfg_hash, out_dir):
             "sup_change": sol.sup_change,
             "sup_change_history": sol.sup_change_history,
             "policy_iterations": sol.policy_iterations,
+            "eliminated_rows": sol.eliminated_rows,
+            "substituted_rows": sol.substituted_rows,
             "fee_rate": problem.fee_rate(),
             "cost": problem.cost_value(),
             "obstacle_violation": qvi.obstacle_violation(sol),

@@ -345,6 +345,8 @@ def load(path) -> dict:
             )
     except UnicodeDecodeError as exc:
         raise ConfigError(f"invalid config: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except RecursionError:
+        raise ConfigError(f"invalid config: {path} nests arrays or objects too deeply to parse") from None
     return validate(doc)
 
 

@@ -15,11 +15,18 @@ iteration with vectorized tridiagonal sweeps. Upwinded drift and central
 diffusion make every slice matrix an M-matrix, so the scheme is monotone
 and the active-set iteration terminates.
 
-Each active set is eliminated once. Its factorization serves every pass
-made with that set, and it carries over to the next outer iteration,
-whose first pass starts from the previous final set; the no-intervention
-start's empty set serves the first pass. Only a pass that changes the
-set pays for a new elimination; every pass pays one substitution sweep.
+One factorization serves the whole solve and is updated in place, and
+each pass redoes only the rows its change reaches: row i of a Thomas
+sweep depends only on rows 0..i. A pass that changes the active set
+re-eliminates from the first row whose mask changed. The forward-swept
+right-hand side is kept between passes, and each pass sweeps forward
+from its first changed row: for the first pass of an outer iteration,
+which starts from the previous final set, the first row holding an
+obstacle node whose psi moved; for a later pass, the first row whose
+mask changed. The back substitution is always a full sweep. Rows above a
+restart hold the floats the same operations gave before, so the solution
+has the bits of solving every pass from scratch. The no-intervention
+start's empty set and its forward sweep serve the first pass.
 
 Reflecting (zero-derivative) boundaries are imposed at the S-grid edges;
 the grid must be wide enough that they sit far from the band.
@@ -128,6 +135,8 @@ class QviSolution:
     sup_change: float
     sup_change_history: list[float]  # sup-norm change of each outer iteration
     policy_iterations: list[int]  # active-set passes of each outer iteration
+    eliminated_rows: int  # tridiagonal row steps of the coefficient eliminations
+    substituted_rows: int  # tridiagonal row steps of the forward and back substitutions
 
 
 def _operator(problem: QviProblem):
@@ -162,69 +171,134 @@ def _fee_table(problem: QviProblem, s: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 class _Factorization:
-    """Tridiagonal systems stacked along axis 1, eliminated for one active set.
+    """Tridiagonal systems stacked along axis 1, eliminated for one active set at a time.
 
     Masked (obstacle) nodes become identity rows (lower 0, diagonal 1,
-    upper 0). The forward elimination runs once, here; `solve` then takes
-    any number of right-hand sides. Every element goes through the float
-    operations of the plain Thomas sweep in the same order, so the
+    upper 0). One object serves a whole QVI solve and is updated in place:
+    row i of the elimination depends only on rows 0..i of the mask, and row
+    i of the forward-swept right-hand side only on those and on rows 0..i
+    of `rhs`. So `refactor` re-eliminates from the first row whose mask
+    changed, and `solve` forward-sweeps from the first row whose right-hand
+    side or elimination changed since its last sweep; the rows above a
+    restart hold the floats the same operations produced before. The back
+    substitution is always a full sweep. Every element goes through the
+    float operations of the plain Thomas sweep in the same order, so the
     solutions keep their bits. Rows are kept as pre-listed views and each
     row step is one ufunc writing into a view, so the loops index nothing
-    and allocate nothing.
+    and allocate nothing. `eliminated_rows` and `substituted_rows` count
+    the row steps made.
     """
 
     def __init__(self, lower, diag, upper, mask):
-        self.mask = mask
-        # row lists of the masked coefficients; den and cp are eliminated in place
-        self._lo = lo = list(np.where(mask, 0.0, lower[:, None]))
-        self._den = den = list(np.where(mask, 1.0, diag[:, None]))
-        self._cp = cp = list(np.where(mask, 0.0, upper[:, None]))
-        self._tmp = tmp = np.empty(mask.shape[1])
-        np.divide(cp[0], den[0], cp[0])
-        for lo_i, den_i, cp_prev, cp_i in zip(lo[1:], den[1:], cp, cp[1:]):
+        self.mask = mask.copy()
+        self.rhs = np.empty(mask.shape)  # the caller writes it, from `start` on, before each solve
+        lo, den, cp, dp = (np.empty(mask.shape) for _ in range(4))
+        # each eliminated array with its coefficient column and its value at masked nodes
+        self._coefficients = ((lo, lower[:, None], 0.0), (den, diag[:, None], 1.0), (cp, upper[:, None], 0.0))
+        self._lo, self._den, self._cp, self._dp, self._rhs = map(list, (lo, den, cp, dp, self.rhs))
+        self._tmp = np.empty(mask.shape[1])
+        self._restart = 0  # first row whose forward sweep is out of date
+        self.eliminated_rows = self.substituted_rows = 0
+        self._eliminate(0)
+
+    def refactor(self, mask, r0):
+        """Adopt `mask`, equal to the current mask above row r0."""
+        self.mask[r0:] = mask[r0:]
+        self._eliminate(r0)
+
+    def _eliminate(self, r0):
+        n = len(self._den)
+        self.eliminated_rows += n - r0
+        self._restart = min(self._restart, r0)
+        masked = self.mask[r0:]
+        for rows, coefficient, fill in self._coefficients:
+            np.copyto(rows[r0:], coefficient[r0:])
+            np.copyto(rows[r0:], fill, where=masked)
+        lo, den, cp, tmp = self._lo, self._den, self._cp, self._tmp
+        if r0 == 0:
+            np.divide(cp[0], den[0], cp[0])
+            r0 = 1
+        for lo_i, den_i, cp_prev, cp_i in zip(lo[r0:], den[r0:], cp[r0 - 1 :], cp[r0:]):
             np.multiply(lo_i, cp_prev, tmp)
             np.subtract(den_i, tmp, den_i)
             np.divide(cp_i, den_i, cp_i)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Overwrite `rhs` (n, m) with the solution and return it."""
-        x = list(rhs)
-        tmp = self._tmp
-        np.divide(x[0], self._den[0], x[0])
-        for lo_i, den_i, x_prev, x_i in zip(self._lo[1:], self._den[1:], x, x[1:]):
-            np.multiply(lo_i, x_prev, tmp)
-            np.subtract(x_i, tmp, x_i)
-            np.divide(x_i, den_i, x_i)
-        for cp_i, x_i, x_next in zip(self._cp[-2::-1], x[-2::-1], x[:0:-1]):
+    def solve(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Write the solution for `rhs` into `out` and return it.
+
+        `start` is the first row of `rhs` written since the last solve; the
+        forward sweep starts there, or higher up if `refactor` re-eliminated
+        a row above it.
+        """
+        n = len(self._den)
+        start = min(start, self._restart)
+        self._restart = n
+        self.substituted_rows += 2 * n - start
+        lo, den, dp, rhs, tmp = self._lo, self._den, self._dp, self._rhs, self._tmp
+        if start == 0:
+            np.divide(rhs[0], den[0], dp[0])
+            start = 1
+        rows = zip(lo[start:], den[start:], dp[start - 1 :], rhs[start:], dp[start:])
+        for lo_i, den_i, dp_prev, rhs_i, dp_i in rows:
+            np.multiply(lo_i, dp_prev, tmp)
+            np.subtract(rhs_i, tmp, dp_i)
+            np.divide(dp_i, den_i, dp_i)
+        x = list(out)
+        np.copyto(x[-1], dp[-1])
+        for cp_i, dp_i, x_i, x_next in zip(self._cp[-2::-1], dp[-2::-1], x[-2::-1], x[:0:-1]):
             np.multiply(cp_i, x_next, tmp)
-            np.subtract(x_i, tmp, x_i)
-        return rhs
+            np.subtract(dp_i, tmp, x_i)
+        return out
 
 
-def _apply_operator(lower, diag, upper, V):
-    out = diag[:, None] * V
-    out[1:] += lower[1:, None] * V[:-1]
-    out[:-1] += upper[:-1, None] * V[1:]
+def _apply_operator(lower, diag, upper, V, out, tmp):
+    """Write A V into `out`; `tmp`, of V's shape, is scratch."""
+    np.multiply(diag[:, None], V, out)
+    np.multiply(lower[1:, None], V[:-1], tmp[1:])
+    np.add(out[1:], tmp[1:], out[1:])
+    np.multiply(upper[:-1, None], V[1:], tmp[:-1])
+    np.add(out[:-1], tmp[:-1], out[:-1])
     return out
+
+
+def _first_row(changed: np.ndarray) -> int:
+    """The first row of a 2-D bool array holding a True, or its row count if none."""
+    k = int(changed.argmax())
+    return k // changed.shape[1] if changed.flat[k] else changed.shape[0]
 
 
 def _solve_obstacle(lower, diag, upper, F, psi, system, max_policy_iters=100):
     """Exact LCP solve per slice: min(A V - F, V - psi) = 0 nodewise.
 
     `system` is the factorization of the warm-start active set
-    (`system.mask`, True = obstacle row); returns (V, factorization of the
-    final active set, passes, settled), passes being the tridiagonal solves
-    made. Active-set iteration on an M-matrix terminates; settled is False
-    when max_policy_iters cut it short.
+    (`system.mask`, True = obstacle row), with `system.rhs` built from it
+    and the previous obstacle; it is updated in place to the final active
+    set. Returns (V, passes, settled), passes being the tridiagonal solves
+    made. The first pass sweeps forward from the first row holding
+    a masked node whose psi moved, each later pass from the first row
+    whose mask changed. Active-set iteration on an M-matrix terminates;
+    settled is False when max_policy_iters cut it short.
     """
+    n_s = F.shape[0]
     psi_col = np.broadcast_to(psi[:, None], F.shape)
+    rhs = system.rhs
+    V, residual, gap = np.empty_like(F), np.empty_like(F), np.empty_like(F)
+    new_mask, changed = np.empty(F.shape, dtype=bool), np.empty(F.shape, dtype=bool)
+    # psi compared by bits, so a sign-of-zero change also counts
+    np.not_equal(rhs.view(np.int64), psi.view(np.int64)[:, None], out=changed)
+    start = _first_row(np.logical_and(changed, system.mask, out=changed))
+    np.copyto(rhs[start:], psi_col[start:], where=system.mask[start:])
     for passes in range(1, max_policy_iters + 1):
-        V = system.solve(np.where(system.mask, psi_col, F))
-        new_mask = (V - psi_col) < (_apply_operator(lower, diag, upper, V) - F)
-        if np.array_equal(new_mask, system.mask):
-            return V, system, passes, True
-        system = _Factorization(lower, diag, upper, new_mask)
-    return V, system, max_policy_iters, False
+        system.solve(start, V)
+        np.subtract(_apply_operator(lower, diag, upper, V, residual, gap), F, residual)
+        np.less(np.subtract(V, psi_col, gap), residual, new_mask)
+        start = _first_row(np.not_equal(new_mask, system.mask, out=changed))
+        if start == n_s:
+            return V, passes, True
+        system.refactor(new_mask, start)
+        np.copyto(rhs[start:], F[start:])
+        np.copyto(rhs[start:], psi_col[start:], where=system.mask[start:])
+    return V, max_policy_iters, False
 
 
 def _diagonal_values(V: np.ndarray, s: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -254,9 +328,10 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
     C = problem.cost_value()
 
     # no-intervention start: plain PDE solve per slice, whose empty-mask
-    # factorization the first obstacle pass reuses
+    # factorization and forward sweep the first obstacle pass reuses
     system = _Factorization(lower, diag, upper, np.zeros(F.shape, dtype=bool))
-    V = system.solve(F.copy())
+    np.copyto(system.rhs, F)
+    V = system.solve(0, np.empty_like(F))
 
     sup_change = math.inf
     iterations = 0
@@ -264,7 +339,7 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
     history, passes_per_iter = [], []
     for iterations in range(1, max_iters + 1):
         psi = _diagonal_values(V, s, c) - C
-        V_new, system, passes, settled = _solve_obstacle(lower, diag, upper, F, psi, system)
+        V_new, passes, settled = _solve_obstacle(lower, diag, upper, F, psi, system)
         all_settled &= settled
         sup_change = float(np.max(np.abs(V_new - V)))
         history.append(sup_change)
@@ -289,6 +364,8 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
         sup_change=sup_change,
         sup_change_history=history,
         policy_iterations=passes_per_iter,
+        eliminated_rows=system.eliminated_rows,
+        substituted_rows=system.substituted_rows,
     )
 
 
@@ -297,7 +374,7 @@ def complementarity_residual(sol: QviSolution) -> np.ndarray:
     _, lower, diag, upper = _operator(sol.problem)
     F = _fee_table(sol.problem, sol.s, sol.c)
     psi = _diagonal_values(sol.V, sol.s, sol.c) - sol.problem.cost_value()
-    residual = _apply_operator(lower, diag, upper, sol.V) - F
+    residual = _apply_operator(lower, diag, upper, sol.V, np.empty_like(sol.V), np.empty_like(sol.V)) - F
     gap = sol.V - psi[:, None]
     return np.abs(np.minimum(residual, gap))
 
@@ -329,9 +406,11 @@ def boundary_deviation(sol: QviSolution, c_value: float) -> tuple[float, float]:
 
 def write_solution_csv(path, sol: QviSolution) -> None:
     n_s, n_c = sol.V.shape
-    # an object array shares the two label strings: 8 bytes a node, a "<U12" array 48
+    # object arrays share their strings: 8 bytes a node, a "<U12" array 48;
+    # each grid axis is formatted once and its texts repeated as labels
     region = np.array(["continuation", "jump"], dtype=object)[sol.jump.ravel().view(np.uint8)]
-    columns = (np.repeat(sol.s, n_c), np.tile(sol.c, n_s), sol.V.ravel(), region)
+    s_cells, c_cells = (np.array(artifacts.cell_texts(axis), dtype=object) for axis in (sol.s, sol.c))
+    columns = (np.repeat(s_cells, n_c), np.tile(c_cells, n_s), sol.V.ravel(), region)
     artifacts.write_columns(path, ["S", "c", "V", "region"], columns)
 
 

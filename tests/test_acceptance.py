@@ -321,6 +321,13 @@ def test_criterion_6_agent_vs_oracle_boundary(stationary_setup):
     oracle_median = float(np.median(oracle_devs))
     gap = abs(agent_median / oracle_median - 1.0)
     ok = gap <= 0.5
+    # On stationary.json the oracle's recenters are reactions to episode
+    # starts. The OU spread sigma/sqrt(2 theta) ~ 1.6% is 8x the 0.2% band,
+    # so parking the band at mu is optimal, and the solved jump table has
+    # no jump node for a center near mu. Each episode opens its band at
+    # the start price, 0.05-3% from mu; the oracle recenters in one or two
+    # moves that end near mu, then holds: 28 recenters over the 20
+    # episodes, all within the first 362 of 3600 steps.
     _report(
         6,
         ok,

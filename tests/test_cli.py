@@ -176,6 +176,18 @@ class TestValidation:
         assert not out.exists()
         assert f"key {key!r} appears more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "opening, inner, closing", [("[", "", "]"), ('{"a":', "1", "}")], ids=["arrays", "objects"]
+    )
+    def test_deeply_nested_config_exits_one(self, tmp_path, capsys, opening, inner, closing):
+        # nesting deeper than the recursion limit makes json raise RecursionError
+        cfg = tmp_path / "config.json"
+        cfg.write_text(opening * 100_000 + inner + closing * 100_000)
+        out = tmp_path / "synth"
+        assert cli.main(["synth", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "nests arrays or objects too deeply to parse" in capsys.readouterr().err
+
     def test_pool_bounds_match_pool_config(self):
         doc = config_mod.validate(base_config(pool={"dex_cex_ratio": 1.0, "width": 0.999, "fee_tier": 0.999}))
         assert config_mod.pool_config(doc).dex_cex_ratio == 1.0
@@ -372,6 +384,7 @@ class TestPipeline:
         assert meta["obstacle_violation"] == qvi.obstacle_violation(sol) <= 1e-6
         assert meta["max_complementarity_residual"] == float(qvi.complementarity_residual(sol).max())
         assert meta["max_complementarity_residual"] <= 1e-6
+        assert (meta["eliminated_rows"], meta["substituted_rows"]) == (sol.eliminated_rows, sol.substituted_rows)
 
     @pytest.mark.parametrize("capped_inner", [False, True])
     def test_qvi_not_converged_warns_and_exits_zero(self, tmp_path, capsys, monkeypatch, capped_inner):

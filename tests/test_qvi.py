@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ammlab import artifacts, config, qvi
@@ -40,9 +40,18 @@ class TestTrivialCases:
         lo, hi = qvi.boundary_deviation(sol, 100.0)
         assert math.isnan(lo) and math.isnan(hi)
 
+    # The free-recentering solve does not converge: its sup change shrinks
+    # by only about 0.4% an iteration, so at the 1,500-iteration cap it is
+    # still 5.1e-4, above tol. Summed as a geometric tail, that leaves the
+    # capped iterate within about 0.14 (0.2% of V) of the fixed point,
+    # close enough for what these tests check: the value is flat across c
+    # (relative gap 6e-6 against the 1e-4 bound), and the jump boundary
+    # lies within four cells of the center, where it has sat since before
+    # iteration 100.
     def test_free_recentering_flattens_center_dependence(self):
         problem = qvi.QviProblem.default(OU_REF, POOL, n_s=150, n_c=30, rho=0.01, cost=0.0)
         sol = qvi.solve(problem, tol=1e-7, max_iters=1500)
+        assert not sol.converged and sol.iterations == 1500
         diag = qvi._diagonal_values(sol.V, sol.s, sol.c)
         rel_gap = np.max(np.abs(sol.V - diag[:, None])) / np.max(np.abs(sol.V))
         assert rel_gap < 1e-4
@@ -51,6 +60,7 @@ class TestTrivialCases:
     def test_free_recentering_boundary_hugs_center(self):
         problem = qvi.QviProblem.default(OU_REF, POOL, n_s=150, n_c=30, rho=0.01, cost=0.0)
         sol = qvi.solve(problem, tol=1e-7, max_iters=1500)
+        assert not sol.converged and sol.iterations == 1500
         lo, hi = qvi.boundary_deviation(sol, 100.0)
         cell = problem.s_grid.step / 100.0
         assert lo <= 4 * cell and hi <= 4 * cell
@@ -254,6 +264,13 @@ class TestGoldenSolutions:
         ),
     }
 
+    # (eliminated_rows, substituted_rows): the solver's row work
+    ROW_STEPS = {
+        "theta-0.01": (1034, 9583),
+        "theta-0.05": (1694, 5742),
+        "free-recentering": (17974, 494423),
+    }
+
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_exports_and_history(self, name, tmp_path):
         problem, kwargs = self.PROBLEMS[name]()
@@ -272,6 +289,7 @@ class TestGoldenSolutions:
             assert sol.sup_change_history == history
         assert _sha256((tmp_path / "sol.csv").read_bytes()) == sol_sha
         assert _sha256((tmp_path / "bound.csv").read_bytes()) == bound_sha
+        assert (sol.eliminated_rows, sol.substituted_rows) == self.ROW_STEPS[name]
 
 
 def _thomas(lower, diag, upper, rhs):
@@ -315,22 +333,72 @@ class TestFactorization:
         for _ in range(3):
             rhs = scale * rng.normal(size=(n, m))
             expected = _thomas(lo, dg, up, rhs)
-            got = system.solve(rhs.copy())
+            np.copyto(system.rhs, rhs)
+            got = system.solve(0, np.empty((n, m)))
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(3, 30),
+        m=hst.integers(1, 6),
+        mask_rate=hst.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
+        mask_from=hst.integers(0, 30),
+        rhs_from=hst.integers(0, 30),
+        full_row=hst.integers(0, 29),
+    )
+    @example(seed=1, n=12, m=4, mask_rate=0.5, mask_from=0, rhs_from=12, full_row=5)  # mask change at row 0
+    @example(seed=2, n=12, m=4, mask_rate=0.5, mask_from=7, rhs_from=0, full_row=9)  # rhs change at row 0
+    @example(seed=3, n=12, m=4, mask_rate=0.5, mask_from=12, rhs_from=12, full_row=3)  # no change at all
+    def test_restart_matches_fresh_factorization(self, seed, n, m, mask_rate, mask_from, rhs_from, full_row):
+        # a mask equal above row r0 and a right-hand side equal above row k:
+        # re-eliminating in place and sweeping forward from the first changed
+        # row gives the bits of a fresh factorization and a full solve
+        rng = np.random.default_rng(seed)
+        r0, k, j = min(mask_from, n), min(rhs_from, n), full_row % n
+        lower = -rng.uniform(0.0, 1.0, n)
+        upper = -rng.uniform(0.0, 1.0, n)
+        diag = np.abs(lower) + np.abs(upper) + rng.uniform(1e-3, 1.0, n)
+        mask = rng.uniform(size=(n, m)) < mask_rate
+        rhs = rng.normal(size=(n, m))
+        # row j is fully masked before the change, row max(j, r0) after it
+        mask[j] = True
+        new_mask = mask.copy()
+        new_mask[r0:] = rng.uniform(size=(n - r0, m)) < mask_rate
+        new_mask[max(j, r0) : max(j, r0) + 1] = True
+        new_rhs = rhs.copy()
+        new_rhs[k:] = rng.normal(size=(n - k, m))
+
+        system = qvi._Factorization(lower, diag, upper, mask)
+        np.copyto(system.rhs, rhs)
+        system.solve(0, np.empty((n, m)))
+        system.refactor(new_mask, r0)
+        system.rhs[k:] = new_rhs[k:]
+        got = system.solve(k, np.empty((n, m)))
+
+        fresh = qvi._Factorization(lower, diag, upper, new_mask)
+        np.copyto(fresh.rhs, new_rhs)
+        expected = fresh.solve(0, np.empty((n, m)))
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert np.array_equal(system.mask, new_mask)
+        assert system.eliminated_rows == 2 * n - r0
+        assert system.substituted_rows == 4 * n - min(r0, k)
 
     def test_one_elimination_per_active_set(self, monkeypatch):
         # the empty-mask start is reused by the first pass, and each outer
         # iteration starts from the previous one's final factorization:
         # only a pass that changes the active set eliminates again
-        built = []
+        # (in place, from the first row whose mask changed)
+        starts = []
 
         class Counted(qvi._Factorization):
-            def __init__(self, *args):
-                built.append(1)
-                super().__init__(*args)
+            def _eliminate(self, r0):
+                starts.append(r0)
+                super()._eliminate(r0)
 
         monkeypatch.setattr(qvi, "_Factorization", Counted)
         sol = qvi.solve(_stationary(0.01, 400, 100))
         assert sol.converged
         assert (sol.iterations, sum(sol.policy_iterations)) == (40, 96)
-        assert len(built) == 1 + sum(sol.policy_iterations) - sol.iterations == 57
+        assert len(starts) == 1 + sum(sol.policy_iterations) - sol.iterations == 57
+        assert starts[0] == 0 and sol.eliminated_rows == sum(400 - r0 for r0 in starts)
