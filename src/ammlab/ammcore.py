@@ -16,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, InconsistentDeposit
+import numpy as np
+
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,11 @@ def in_range(pos: Position, s: float) -> bool:
     return pos.lower <= s <= pos.upper
 
 
+def in_band(pos: Position, prices: np.ndarray) -> np.ndarray:
+    """in_range at each of an array of prices, as a boolean array."""
+    return (pos.lower <= prices) & (prices <= pos.upper)
+
+
 def concentration(w: float) -> float:
     """Fee amplification 1/sqrt(w) from narrowing the band to half-width w."""
     if not 0 < w < 1:
@@ -101,10 +108,40 @@ def fee_step(pos: Position, s: float, cex_volume: float, cfg: PoolConfig) -> flo
     if not in_range(pos, s):
         return 0.0
     pos.active_seconds += 1
-    lam = concentration(pos.width)
-    fee = cfg.dex_cex_ratio * cex_volume * cfg.fee_tier * (pos.capital * lam) / cfg.pool_tvl
+    fee = _fee(pos, cex_volume, cfg)
     pos.accrued_fees += fee
     return fee
+
+
+def _fee(pos: Position, cex_volume, cfg: PoolConfig):
+    """What one in-range second earns at `cex_volume`, a float or an array of them."""
+    lam = concentration(pos.width)
+    return cfg.dex_cex_ratio * cex_volume * cfg.fee_tier * (pos.capital * lam) / cfg.pool_tvl
+
+
+def hold(pos: Position, prices: np.ndarray, volumes: np.ndarray, cfg: PoolConfig):
+    """Accrue a stretch of held seconds in one call; returns (fee, inside) columns.
+
+    Each second earns what fee_step would, and the fees are added to
+    pos.accrued_fees in second order, so pos ends as a fee_step per second
+    would leave it, bit for bit. A negative volume raises fee_step's error
+    before pos changes.
+    """
+    if np.any(volumes < 0):
+        raise ValueError("cex_volume must be >= 0")
+    inside = in_band(pos, prices)
+    earning = int(np.count_nonzero(inside))
+    pos.total_seconds += len(prices)
+    pos.active_seconds += earning
+    fee = np.zeros(len(prices))
+    if earning:
+        running = np.empty(earning + 1)
+        running[0] = pos.accrued_fees
+        running[1:] = _fee(pos, volumes[inside], cfg)
+        fee[inside] = running[1:]
+        np.add.accumulate(running, out=running)
+        pos.accrued_fees = float(running[-1])
+    return fee, inside
 
 
 def rebalance_cost(cfg: PoolConfig) -> float:
@@ -128,9 +165,11 @@ def step(pos: Position, target: float | None, price: float, volume: float, cfg: 
     accrue fees at (price, volume). Returns (fee, gas), gas being what
     this second's recenter added to pos.accrued_gas.
 
-    Both loops decide at bar i and differ only in the bar whose fee the
-    decision earns. backtest.run passes bar i itself, so a band chosen
-    after seeing close[i] earns second i's fee, and a strategy that
+    LpEnv.step calls it every second; backtest.run calls it on the bars
+    where the strategy recenters and accrues the held bars between them
+    through hold. Both decide at bar i and differ only in the bar whose
+    fee the decision earns. backtest.run passes bar i itself, so a band
+    chosen after seeing close[i] earns second i's fee, and a strategy that
     recenters on exit is in range at every accounted second. LpEnv.step
     passes bar i+1, so the agent is rewarded with a fee it could not see
     when it acted. On the smoke series at seed 0, lancelot makes the same
@@ -171,29 +210,3 @@ def net_roi(pos: Position) -> float:
 def active_fraction(pos: Position) -> float:
     return pos.active_seconds / max(pos.total_seconds, 1)
 
-
-def virtual_liquidity(
-    p: float,
-    p_a: float,
-    p_b: float,
-    dx: float | None = None,
-    dy: float | None = None,
-    rel_tol: float = 1e-6,
-) -> float:
-    """Uniswap-style virtual liquidity of a deposit into range (p_a, p_b).
-
-    L = dx / (1/sqrt(p) - 1/sqrt(p_b)) = dy / (sqrt(p) - sqrt(p_a)).
-    Either token amount may be omitted; when both are given they must
-    agree on L within rel_tol.
-    """
-    if not p_a < p < p_b:
-        raise DomainError(f"price {p} must lie strictly inside ({p_a}, {p_b})")
-    if dx is None and dy is None:
-        raise DomainError("at least one of dx, dy is required")
-    l_x = dx / (1.0 / math.sqrt(p) - 1.0 / math.sqrt(p_b)) if dx is not None else None
-    l_y = dy / (math.sqrt(p) - math.sqrt(p_a)) if dy is not None else None
-    if l_x is not None and l_y is not None:
-        if abs(l_x - l_y) > rel_tol * max(abs(l_x), abs(l_y)):
-            raise InconsistentDeposit(f"dx implies L={l_x}, dy implies L={l_y}")
-        return 0.5 * (l_x + l_y)
-    return l_x if l_x is not None else l_y

@@ -1,9 +1,11 @@
 """Strategy backtests, gas-cost sweeps, and decision-boundary grids.
 
-The runner walks a bar series second by second: the strategy decides
-from the current bar's index, and ammcore.step applies the decision and
-accrues that same bar's fees (its docstring states the fee-bar
-convention).
+The runner walks a bar series from one recenter to the next: the
+strategy's next_recenter names the bar of its next recenter, ammcore.hold
+accrues the held bars before it in one call, and ammcore.step applies the
+recenter and accrues that same bar's fees (its docstring states the
+fee-bar convention). Every decision, report and trace is the one a
+bar-by-bar loop over Strategy.decide gives.
 """
 
 from __future__ import annotations
@@ -70,19 +72,30 @@ def run(
         raise EmptyData("cannot backtest an empty series")
     cfg = cfg or PoolConfig()
     features = features or FeatureTrack(series)
+    _check_features(series, features)
     center0, width0 = strategy.initial_range(series, cfg.width)
     pos = ammcore.open_position(center0, cfg, width=width0)
 
     n = len(series)
-    center, fee, gas = np.empty(n), np.empty(n), np.empty(n)
-    action, in_range = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    for i in range(n):
-        price = float(series.close[i])
-        target = strategy.decide(i, price, pos, features)
-        fee[i], gas[i] = ammcore.step(pos, target, price, float(series.volume[i]), cfg)
-        center[i] = pos.center
-        action[i] = target is not None
-        in_range[i] = ammcore.in_range(pos, price)
+    close, volume = series.close, series.volume
+    center, fee, gas = np.empty(n), np.empty(n), np.zeros(n)
+    action, in_range = np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    start, held = 0, 0
+    while start < n:
+        stop, target = strategy.next_recenter(start, pos, features, held) or (n, None)
+        if target is not None and not start <= stop < n:
+            raise ValueError(f"{strategy.name} recenters at bar {stop}, outside [{start}, {n})")
+        if stop > start:
+            fee[start:stop], in_range[start:stop] = ammcore.hold(pos, close[start:stop], volume[start:stop], cfg)
+            center[start:stop] = pos.center
+        if target is None:
+            break
+        price = float(close[stop])
+        fee[stop], gas[stop] = ammcore.step(pos, target, price, float(volume[stop]), cfg)
+        center[stop] = pos.center
+        action[stop] = 1
+        in_range[stop] = ammcore.in_range(pos, price)
+        start, held = stop + 1, stop - start
 
     report = BacktestReport(
         strategy=strategy.name,
@@ -106,6 +119,12 @@ def run(
         "in_range": in_range,
     }
     return report, trace
+
+
+def _check_features(series: BarSeries, features: FeatureTrack) -> None:
+    """Strategies read prices from features.series, the accounting from series."""
+    if features.series is not series and not np.array_equal(features.series.close, series.close, equal_nan=True):
+        raise ValueError("features were computed on another series: their closes differ from the series'")
 
 
 def rebalance_deviations(trace) -> list[float]:
@@ -149,6 +168,7 @@ def gas_sweep(
         raise ValueError(f"strategy names must be distinct, got {names}")
     cfg = cfg or PoolConfig()
     features = features or FeatureTrack(series)
+    _check_features(series, features)
 
     rows = []
     curves: dict[str, list[tuple[float, float]]] = {}

@@ -19,6 +19,7 @@ per-bar trace that backtest.run returns, the only code that records one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,38 @@ def build_state(pos: Position, features: FeatureTrack, i: int) -> np.ndarray:
     )
 
 
+def hold_states(
+    pos: Position, features: FeatureTrack, start: int, stop: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """build_state's rows for bars start..stop-1 if pos is held over them.
+
+    `pos` is the position as it stands before bar start's decision. Each
+    row equals, bit for bit, what build_state returns at that bar after
+    fee_step has accrued the bars before it. The rows are written into
+    `out[:stop - start]` when given.
+    """
+    s = features.series.close[start:stop]
+    k = len(s)
+    rows = np.empty((k, STATE_DIM)) if out is None else out[:k]
+    rows[:, 2:5] = features.bar_columns[start:stop, :3]
+    rows[:, 6] = features.bar_columns[start:stop, 3]
+    np.divide(s, pos.center, out=rows[:, 0])
+    rows[:, 0] -= 1.0
+    # clipping at nonzero bounds keeps NaN and -0.0 as Python's min and max do
+    np.clip((s - pos.center) / (pos.center * pos.width), -1.0, 1.0, out=rows[:, 1])
+    inside = ammcore.in_band(pos, s)
+    rows[:, 7] = inside
+    # active_fraction before each bar, the int counts divided as Python divides ints
+    active = np.cumsum(inside)
+    active -= inside
+    active += pos.active_seconds
+    total = np.arange(pos.total_seconds, pos.total_seconds + k)
+    if pos.total_seconds == 0 and k:
+        total[0] = 1
+    np.divide(active, total, out=rows[:, 5])
+    return rows
+
+
 def rolling_log_return_vol(closes: np.ndarray, window: int = VOL_WINDOW) -> np.ndarray:
     """Per-bar std of the last `window` one-second log returns (0 during warmup)."""
     closes = np.asarray(closes, dtype=np.float64)
@@ -99,12 +132,37 @@ def rolling_log_return_vol(closes: np.ndarray, window: int = VOL_WINDOW) -> np.n
 
 
 class FeatureTrack:
-    """Per-bar regime estimates and realized vol for one series, as columns."""
+    """Per-bar regime estimates and realized vol for one series, as columns.
+
+    The columns are values: nothing may change them after bar_columns is
+    first read.
+    """
 
     def __init__(self, series: BarSeries, window: int = regime.DEFAULT_WINDOW):
         self.series = series
         self.theta, self.mu, self.sigma, self.valid = regime.rolling_estimates(series.close, 1.0, window)
         self.recent_vol = rolling_log_return_vol(series.close)
+
+    @functools.cached_property
+    def bar_columns(self) -> np.ndarray:
+        """build_state's theta, delta_mu, sigma_norm and recent_vol at every bar, (n, 4).
+
+        These entries do not depend on the position. Invalid bars keep
+        build_state's 0.0, and the clips copy a bound only where Python's
+        max(x, lo) and min(x, hi) would return it, NaN and -0.0 included.
+        """
+        s, valid = self.series.close, self.valid
+        block = np.zeros((len(s), 4))
+        theta, delta_mu, sigma_norm, recent_vol = block.T
+        np.copyto(theta, self.theta, where=valid)
+        with np.errstate(all="ignore"):  # an invalid bar's estimates may be anything; it keeps 0.0
+            np.divide(self.mu - s, s, out=delta_mu, where=valid)
+            np.divide(self.sigma, s, out=sigma_norm, where=valid)
+        np.copyto(sigma_norm, SIGMA_NORM_CLIP, where=SIGMA_NORM_CLIP < sigma_norm)
+        recent_vol[:] = self.recent_vol
+        np.copyto(recent_vol, 0.0, where=0.0 > recent_vol)
+        np.copyto(recent_vol, RECENT_VOL_CLIP, where=RECENT_VOL_CLIP < recent_vol)
+        return block
 
 
 TRACE_HEADER = ["t", "price", "center", "action", "fee", "gas", "reward", "theta", "in_range"]

@@ -5,10 +5,16 @@ the single exception is the omniscient Merlin, whose opening range spans
 the whole series. A decision is the price to recenter at (the current
 one or a chosen one), or None to hold. Strategies read the regime
 features of bar i from the run's FeatureTrack by index.
+
+backtest.run asks each strategy one question per recenter: holding from
+a bar, at which bar do you next recenter, and where? next_recenter
+answers it with a search whose every answer is the one decide would give
+bar by bar.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -19,12 +25,30 @@ from .errors import ShapeError
 from .marketdata import BarSeries
 
 MERLIN_MIN_WIDTH = 1e-4
+BAND_SEARCH_WINDOW = 16  # bars in the first window of an out-of-band search
+POLICY_WINDOW_CAP = 512  # most observation rows in one batched policy forward
+POLICY_MIN_BATCH = 4  # a shorter policy window is decided bar by bar
+
+
+def _windows(start: int, stop: int, size: int, cap: int):
+    """Consecutive windows [lo, hi) from start to stop; the first `size`
+    bars long, each next one twice as long, none longer than `cap`."""
+    lo, size = start, min(size, cap)
+    while lo < stop:
+        hi = min(lo + size, stop)
+        yield lo, hi
+        lo, size = hi, min(2 * size, cap)
 
 
 class Strategy:
     """Base: place at the configured width around the first price, then hold."""
 
     name = "hold"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.decide is not Strategy.decide and cls.next_recenter is Strategy.next_recenter:
+            raise TypeError(f"{cls.__name__} overrides decide, so it must override next_recenter")
 
     def initial_range(self, series: BarSeries, width: float) -> tuple[float, float]:
         """The opening (center, half-width); only oracle strategies look past bar 0."""
@@ -33,10 +57,44 @@ class Strategy:
     def decide(self, i: int, price: float, pos: ammcore.Position, features: envsim.FeatureTrack) -> float | None:
         """The price to recenter at for bar i, whose close is `price`, or None to hold.
 
+        `pos` is the position as it stands before bar i's decision.
         Decisions must not depend on gas: backtest.gas_sweep prices every
         gas level from one run per strategy, and a differential test
         against per-level runs enforces it.
         """
+        return None
+
+    def next_recenter(
+        self, start: int, pos: ammcore.Position, features: envsim.FeatureTrack, held: int = 0
+    ) -> tuple[int, float] | None:
+        """(i, target) for the first bar i >= start at which the strategy
+        recenters if `pos` is held from bar start on, or None if it holds
+        to the last bar.
+
+        `pos` stands as before bar start's decision and is not changed.
+        The answer is what decide returns bar by bar, each bar seeing pos
+        held over the bars before it. `held` is the number of bars held
+        before the previous recenter (0 before the first); a search may
+        size its windows from it, and only its speed may depend on it.
+        """
+        return None
+
+
+class _BandSearch(Strategy):
+    """A strategy that holds while the price is in the band.
+
+    Its decide reads only the band, which holding does not move, so the
+    search gallops over the bars, finds the out-of-band ones with one
+    comparison per window, and asks decide at those only.
+    """
+
+    def next_recenter(self, start, pos, features, held=0):
+        close = features.series.close
+        for lo, hi in _windows(start, len(close), max(2 * held, BAND_SEARCH_WINDOW), len(close)):
+            for i in np.flatnonzero(~ammcore.in_band(pos, close[lo:hi])).tolist():
+                target = self.decide(lo + i, float(close[lo + i]), pos, features)
+                if target is not None:
+                    return lo + i, target
         return None
 
 
@@ -59,7 +117,7 @@ class Bedivere(Strategy):
     name = "bedivere"
 
 
-class Lancelot(Strategy):
+class Lancelot(_BandSearch):
     """Greedy: recenter the moment the price leaves the range."""
 
     name = "lancelot"
@@ -68,7 +126,7 @@ class Lancelot(Strategy):
         return None if ammcore.in_range(pos, price) else price
 
 
-class GalahadOu(Strategy):
+class GalahadOu(_BandSearch):
     """Forecast-driven recentering, blind to costs.
 
     Predicts the price `horizon` seconds ahead from the deterministic
@@ -105,8 +163,36 @@ class GalahadOu(Strategy):
         return None if forecast <= 0.0 or ammcore.in_range(pos, forecast) else forecast
 
 
+def _margin_bound(net: neural.Mlp) -> tuple[np.ndarray, float]:
+    """(gain, offset) such that two float64 forwards of a row x, in any
+    summation order, differ in q1 - q0 by less than |x| @ gain + offset.
+
+    Per output j, |q_j - q~_j| <= D_j = 2 L g (1+g)^(2L) S_j, where g is
+    gamma_(n+1) = (n+1)u / (1 - (n+1)u) for the widest fan-in n (Higham
+    2002, section 3.1), L the number of layers, and S the |W|-chain of
+    |x|: S_0 = |x|, S_l = |W_l|^T S_(l-1) + |b_l|, which is affine in |x|.
+    The 1.01 covers rounding in the subtraction q1 - q0 and in this bound
+    itself; the smallest normal covers underflowing products.
+    """
+    depth = net.n_layers
+    n = max(net.layer_dims[:-1]) + 1
+    u = np.finfo(np.float64).eps / 2
+    gamma = n * u / (1.0 - n * u)
+    scale = 1.01 * 2.0 * depth * gamma * (1.0 + gamma) ** (2 * depth)
+    gain = np.eye(net.layer_dims[0])
+    offset = np.zeros(net.layer_dims[0])
+    for w, b in zip(net.weights, net.biases):
+        gain = gain @ np.abs(w)
+        offset = offset @ np.abs(w) + np.abs(b)
+    return scale * gain.sum(axis=1), scale * float(offset.sum()) + np.finfo(np.float64).tiny
+
+
 class PolicyStrategy(Strategy):
-    """Greedy actions from a frozen Q-network checkpoint."""
+    """Greedy actions from a frozen Q-network checkpoint.
+
+    The net must not change after the strategy is built: the bound that
+    certifies batched decisions is computed from its weights here.
+    """
 
     name = "rammstein"
 
@@ -114,6 +200,7 @@ class PolicyStrategy(Strategy):
         if tuple(net.layer_dims) != Q_NET_DIMS:
             raise ShapeError(f"policy checkpoint must have dims {Q_NET_DIMS}, got {net.layer_dims}")
         self.net = net
+        self._bound_gain, self._bound_offset = _margin_bound(net)
 
     @classmethod
     def from_checkpoint(cls, path) -> "PolicyStrategy":
@@ -122,7 +209,57 @@ class PolicyStrategy(Strategy):
 
     def decide(self, i, price, pos, features):
         q = neural.forward(self.net, envsim.build_state(pos, features, i))
-        return price if int(np.argmax(q)) == 1 else None
+        return price if int(q.argmax()) == 1 else None
+
+    def next_recenter(self, start, pos, features, held=0):
+        """Batched forwards over windows of hold-path observation rows.
+
+        A batch runs through other matmul kernels than decide's one-row
+        forward, so its last bits differ. A row decides from the batch only
+        when its margin q1 - q0 clears _margin_bound, which is then the
+        one-row forward's sign too; every other row, a NaN margin included,
+        is decided by the one-row forward itself. Windows double after a
+        window without a recenter, up to POLICY_WINDOW_CAP rows; the first
+        is twice the previous hold (POLICY_MIN_BATCH rows at bar 0), and a
+        window shorter than POLICY_MIN_BATCH is decided bar by bar. After a
+        recenter on the first bar of a search, the next search starts with
+        decide on that bar alone, so a policy that acts on nearly every bar
+        costs about what the per-bar loop does.
+        """
+        close = features.series.close
+        if start and not held:  # the last search recentered on its first bar: try this bar alone
+            price = float(close[start])
+            target = self.decide(start, price, pos, features)
+            if target is not None:
+                return start, target
+            lo, first = start + 1, 2
+        else:
+            lo, first = start, 2 * held if start else POLICY_MIN_BATCH
+        probe = copy.copy(pos)  # pos as it will stand before bar lo's decision
+        if lo > start:
+            probe.total_seconds += 1
+            probe.active_seconds += ammcore.in_range(pos, price)
+        buffer = np.empty((min(POLICY_WINDOW_CAP, len(close) - lo), envsim.STATE_DIM))
+        for lo, hi in _windows(lo, len(close), first, POLICY_WINDOW_CAP):
+            if hi - lo < POLICY_MIN_BATCH:
+                for i in range(lo, hi):
+                    price = float(close[i])
+                    target = self.decide(i, price, probe, features)
+                    if target is not None:
+                        return i, target
+                    probe.total_seconds += 1
+                    probe.active_seconds += ammcore.in_range(probe, price)
+                continue
+            rows = envsim.hold_states(probe, features, lo, hi, out=buffer)
+            q = neural.forward(self.net, rows)
+            margin = q[:, 1] - q[:, 0]
+            certified = np.abs(margin) > np.abs(rows) @ self._bound_gain + self._bound_offset
+            for j in np.flatnonzero(~certified | (margin > 0.0)).tolist():
+                if certified[j] or int(neural.forward(self.net, rows[j].copy()).argmax()) == 1:
+                    return lo + j, float(close[lo + j])
+            probe.total_seconds += hi - lo
+            probe.active_seconds += int(np.count_nonzero(rows[:, -1]))
+        return None
 
 
 def _policy(checkpoint: str | None = None) -> PolicyStrategy:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from ammlab import ammcore as ac
-from ammlab.errors import DomainError, InconsistentDeposit
+from ammlab.errors import DomainError
 
 CFG = ac.PoolConfig()  # fee 5 bps, gas $2, TVL 500k, ratio 0.10, width 20 bps
 
@@ -118,6 +120,33 @@ class TestStep:
         assert (pos.active_seconds, pos.total_seconds) == (0, 1)
 
 
+class TestHold:
+    """hold accrues a stretch of seconds as a fee_step per second would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prices=hst.lists(hst.floats(99.5, 100.5), max_size=60),
+        volumes=hst.lists(hst.floats(0.0, 1e6), min_size=60, max_size=60),
+        accrued=hst.floats(0.0, 1e4),
+        width=hst.sampled_from([0.0005, 0.002, 0.01]),
+    )
+    def test_matches_fee_step_per_second(self, prices, volumes, accrued, width):
+        pos, ref = make_pos(width=width), make_pos(width=width)
+        pos.accrued_fees = ref.accrued_fees = accrued
+        prices, volumes = np.array(prices), np.array(volumes[: len(prices)])
+        fee, inside = ac.hold(pos, prices, volumes, CFG)
+        ref_fee = [ac.fee_step(ref, float(s), float(v), CFG) for s, v in zip(prices, volumes)]
+        assert pos == ref  # accrued_fees summed in the same order
+        assert np.array_equal(fee.view(np.int64), np.array(ref_fee, dtype=np.float64).view(np.int64))
+        assert inside.tolist() == [ac.in_range(ref, float(s)) for s in prices]
+
+    def test_negative_volume_raises_before_accruing(self):
+        pos = make_pos()
+        with pytest.raises(ValueError, match="cex_volume must be >= 0"):
+            ac.hold(pos, np.array([100.0, 100.0]), np.array([1.0, -1.0]), CFG)
+        assert pos == make_pos()
+
+
 class TestRecenter:
     def test_moves_center_and_charges(self):
         pos = make_pos()
@@ -186,40 +215,6 @@ class TestNetRoi:
         pos.accrued_fees = 34.87
         pos.accrued_gas = 4.50
         assert ac.net_roi(pos) == pytest.approx(0.003037, abs=1e-6)
-
-
-class TestVirtualLiquidity:
-    def test_quote_only_deposit(self):
-        # evaluating L = dy / (sqrt(p) - sqrt(p_a)) directly
-        expected = 1.0 / (1.0 - np.sqrt(0.998))
-        assert ac.virtual_liquidity(1.0, 0.998, 1.002, dy=1.0) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(999.4997, abs=1e-3)
-
-    def test_near_upper_limit(self):
-        # as p -> p_b the base-token branch vanishes and dy fixes L
-        p_a, p_b, dy = 0.998, 1.002, 1.0
-        lim = dy / (np.sqrt(p_b) - np.sqrt(p_a))
-        val = ac.virtual_liquidity(p_b - 1e-9, p_a, p_b, dy=dy)
-        assert val == pytest.approx(lim, rel=1e-6)
-
-    def test_branches_agree(self):
-        p, p_a, p_b = 1.0, 0.998, 1.002
-        l_ref = 1234.5
-        dx = l_ref * (1 / np.sqrt(p) - 1 / np.sqrt(p_b))
-        dy = l_ref * (np.sqrt(p) - np.sqrt(p_a))
-        assert ac.virtual_liquidity(p, p_a, p_b, dx=dx, dy=dy) == pytest.approx(l_ref, rel=1e-9)
-
-    def test_price_outside_range(self):
-        with pytest.raises(DomainError):
-            ac.virtual_liquidity(1.01, 0.998, 1.002, dy=1.0)
-
-    def test_inconsistent_deposit(self):
-        with pytest.raises(InconsistentDeposit):
-            ac.virtual_liquidity(1.0, 0.998, 1.002, dx=1.0, dy=1.0)
-
-    def test_requires_an_amount(self):
-        with pytest.raises(DomainError):
-            ac.virtual_liquidity(1.0, 0.998, 1.002)
 
 
 class TestPoolConfig:

@@ -91,6 +91,16 @@ class TestRun:
         artifacts.write_csv(tmp_path / "ref.csv", envsim.TRACE_HEADER, rows)
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_recenter_outside_the_search_rejected(self):
+        class Backwards(st.Strategy):
+            name = "backwards"
+
+            def next_recenter(self, start, pos, features, held=0):
+                return start - 1, 100.0
+
+        with pytest.raises(ValueError, match="outside"):
+            bt.run(Backwards(), series_from_closes([100.0] * 5), POOL)
+
     def test_rebalance_deviations_measured_at_trigger(self):
         closes = [100.0, 100.0, 103.0, 103.0]
         _, trace = bt.run(st.Lancelot(), series_from_closes(closes), POOL)
@@ -224,11 +234,13 @@ class TestGasSweepDifferential:
 
 
 class TestEnvBacktestAccounting:
-    """LpEnv and backtest.run share ammcore.step and differ only in the fee bar.
+    """LpEnv and backtest.run share the accounting and differ only in the fee bar.
 
-    The backtest credits bar i's fee to the decision made at bar i; the env
-    credits bar i+1's. Lancelot's rule, applied through both loops on the
-    smoke series, pins that convention with exact equality.
+    The env accounts every second through ammcore.step; the backtest
+    through ammcore.step on its recenter bars and ammcore.hold on the bars
+    it holds. The backtest credits bar i's fee to the decision made at bar
+    i; the env credits bar i+1's. Lancelot's rule, applied through both on
+    the smoke series, pins that convention with exact equality.
     """
 
     @pytest.fixture(scope="class")
@@ -458,3 +470,197 @@ class TestReports:
         lines = path.read_text().splitlines()
         assert lines[0] == "gas,strategy,net_roi"
         assert len(lines) == 3
+
+
+def per_bar_run(strategy, series, cfg, features):
+    """backtest.run as it was before next_recenter: the reference.
+
+    Every bar asks decide and goes through ammcore.step.
+    """
+    center0, width0 = strategy.initial_range(series, cfg.width)
+    pos = ammcore.open_position(center0, cfg, width=width0)
+    n = len(series)
+    center, fee, gas = np.empty(n), np.empty(n), np.empty(n)
+    action, in_range = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for i in range(n):
+        price = float(series.close[i])
+        target = strategy.decide(i, price, pos, features)
+        fee[i], gas[i] = ammcore.step(pos, target, price, float(series.volume[i]), cfg)
+        center[i] = pos.center
+        action[i] = target is not None
+        in_range[i] = ammcore.in_range(pos, price)
+    report = bt.BacktestReport(
+        strategy=strategy.name,
+        active_fraction=ammcore.active_fraction(pos),
+        normalized_liquidity=ammcore.concentration(pos.width),
+        rebalance_count=pos.rebalance_count,
+        total_fees=pos.accrued_fees,
+        total_gas=pos.accrued_gas,
+        net_roi=ammcore.net_roi(pos),
+    )
+    trace = {
+        "t": series.t,
+        "price": series.close,
+        "center": center,
+        "action": action,
+        "fee": fee,
+        "gas": gas,
+        "reward": np.zeros(n),
+        "theta": np.where(features.valid, features.theta, 0.0),
+        "in_range": in_range,
+    }
+    return report, trace
+
+
+def bits(column):
+    column = np.asarray(column)
+    return column.view(np.int64) if column.dtype == np.float64 else column
+
+
+def assert_same_run(got, want):
+    (report, trace), (ref_report, ref_trace) = got, want
+    assert report == ref_report
+    assert list(trace) == list(ref_trace)
+    for key in trace:
+        assert np.array_equal(bits(trace[key]), bits(ref_trace[key])), key
+
+
+def tied_net(seed, gap_ulps):
+    """A net whose two outputs differ by `gap_ulps` ulps of the last bias
+    (0: equal columns, so every margin is exactly zero)."""
+    net = neural.Mlp(Q_NET_DIMS, seed=seed)
+    net.weights[-1][:, 1] = net.weights[-1][:, 0]
+    net.biases[-1][1] = net.biases[-1][0]
+    for _ in range(gap_ulps):
+        net.biases[-1][1] = np.nextafter(net.biases[-1][1], np.inf)
+    return net
+
+
+def twin_net(seed):
+    """A net whose outputs are equal in exact arithmetic but summed in
+    other orders: q1 reads twins of the hidden units q0 reads, permuted.
+    Their float64 margins are rounding noise, whose sign differs between
+    a batched and a one-row forward."""
+    net = neural.Mlp(Q_NET_DIMS, seed=seed)
+    w2, w3 = net.weights[1], net.weights[2]
+    half = w2.shape[1] // 2
+    order = np.random.default_rng(seed).permutation(half)
+    w2[:, half:] = w2[:, order]  # unit half + j twins unit order[j]
+    net.biases[1][:] = 0.01
+    w3[half:, 0] = w3[:half, 1] = 0.0
+    w3[half:, 1] = w3[order, 0]
+    return net
+
+
+def nan_net(seed, layer, column):
+    """A net with one NaN weight, in the given layer and output column."""
+    net = neural.Mlp(Q_NET_DIMS, seed=seed)
+    w = net.weights[layer]
+    w[seed % w.shape[0], column % w.shape[1]] = np.nan
+    return net
+
+
+DIFFERENTIAL = {
+    **TestGoldenTraces.STRATEGIES,
+    "recenters-every-bar": st.PolicyStrategy(constant_policy_net(-1.0, 0.0)),
+    "equal-outputs": st.PolicyStrategy(tied_net(3, 0)),
+    "one-ulp-apart": st.PolicyStrategy(tied_net(4, 1)),
+    "twin-outputs": st.PolicyStrategy(twin_net(8)),
+    "nan-hidden-weight": st.PolicyStrategy(nan_net(5, 1, 7)),
+    "nan-q1-weight": st.PolicyStrategy(nan_net(6, 2, 1)),
+    "nan-q0-weight": st.PolicyStrategy(nan_net(7, 2, 0)),
+}
+
+
+def ou_series(seed, n, theta, sigma):
+    sched = RegimeSchedule(
+        segments=((n, OuParams(theta, 100.0, sigma)),),
+        initial_price=100.0,
+        volume_model=VolumeModel(20_000.0, 1.0),
+    )
+    return simulate_schedule(sched, seed)
+
+
+class TestMatchesPerBarRun:
+    """Walking from one recenter to the next gives the per-bar loop's
+    report and trace, bit for bit, for every strategy."""
+
+    @pytest.mark.parametrize("name", list(DIFFERENTIAL))
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        n=hst.integers(1, 400),
+        theta=hst.floats(1e-4, 0.1),
+        sigma=hst.floats(0.01, 0.5),
+    )
+    @example(seed=5090, n=122, theta=0.015625, sigma=0.5)  # bar 121 fits mu = -399.8
+    def test_ou_paths(self, name, seed, n, theta, sigma):
+        series = ou_series(seed, n, theta, sigma)
+        features = envsim.FeatureTrack(series, window=30)
+        strategy = DIFFERENTIAL[name]
+        assert_same_run(bt.run(strategy, series, POOL, features), per_bar_run(strategy, series, POOL, features))
+
+    @pytest.mark.parametrize("name", ["rammstein", "recenters-every-bar", "nan-q1-weight", "twin-outputs"])
+    def test_smoke_series(self, name):
+        doc = config.load(Path(__file__).parent.parent / "configs" / "smoke.json")
+        series = simulate_schedule(config.schedule(doc), 0).slice(0, 3000)
+        features, cfg = envsim.FeatureTrack(series), config.pool_config(doc)
+        strategy = DIFFERENTIAL[name]
+        assert_same_run(bt.run(strategy, series, cfg, features), per_bar_run(strategy, series, cfg, features))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    n=hst.integers(1, 300),
+    start=hst.integers(0, 299),
+    width=hst.sampled_from([0.0005, 0.002, 0.01]),
+    sigma=hst.floats(0.01, 0.5),
+)
+def test_hold_states_match_build_state(seed, n, start, width, sigma):
+    series = ou_series(seed, n, 0.01, sigma)
+    features = envsim.FeatureTrack(series, window=30)
+    start = min(start, n - 1)
+    cfg = replace(POOL, width=width)
+    pos = ammcore.open_position(float(series.close[seed % n]), cfg)
+    for i in range(start):  # the position as a held run leaves it before bar start
+        ammcore.fee_step(pos, float(series.close[i]), float(series.volume[i]), cfg)
+    rows = envsim.hold_states(pos, features, start, n)
+    assert rows.shape == (n - start, envsim.STATE_DIM)
+    for k, i in enumerate(range(start, n)):
+        assert np.array_equal(bits(rows[k]), bits(envsim.build_state(pos, features, i))), i
+        ammcore.fee_step(pos, float(series.close[i]), float(series.volume[i]), cfg)
+
+
+class TestFeaturesMatchSeries:
+    """Strategies read prices from features.series, the accounting from series."""
+
+    @pytest.fixture
+    def series(self):
+        return wandering_series(8, n=200)
+
+    def test_longer_track_rejected(self, series):
+        longer = envsim.FeatureTrack(wandering_series(8, n=300))
+        with pytest.raises(ValueError, match="closes differ"):
+            bt.run(st.Lancelot(), series, POOL, longer)
+        with pytest.raises(ValueError, match="closes differ"):
+            bt.gas_sweep([st.Lancelot()], series, (1.0, 2.0), POOL, longer)
+
+    def test_other_values_rejected(self, series):
+        other = series.close.copy()
+        other[100] += 0.5
+        moved = envsim.FeatureTrack(marketdata.BarSeries(
+            t=series.t, open=other, high=other, low=other, close=other, volume=series.volume
+        ))
+        with pytest.raises(ValueError, match="closes differ"):
+            bt.run(st.Lancelot(), series, POOL, moved)
+        with pytest.raises(ValueError, match="closes differ"):
+            bt.gas_sweep([st.Lancelot()], series, (1.0, 2.0), POOL, moved)
+
+    def test_track_of_an_equal_series_accepted(self, series):
+        copied = marketdata.BarSeries(
+            t=series.t, open=series.open, high=series.high, low=series.low,
+            close=series.close.copy(), volume=series.volume,
+        )
+        report, _ = bt.run(st.Lancelot(), series, POOL, envsim.FeatureTrack(copied))
+        assert report == bt.run(st.Lancelot(), series, POOL)[0]

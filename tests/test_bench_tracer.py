@@ -43,7 +43,9 @@ def test_tracer_wraps_trace_layers(tmp_path):
     # seed 2 both holds and recenters
     policy = strategies.PolicyStrategy(neural.Mlp(Q_NET_DIMS, seed=2))
     swept = [strategies.Lancelot(), strategies.GalahadOu(), policy]
-    recenters = sum(backtest.run(s, series)[0].rebalance_count - 1 for s in swept + swept[:1])
+    traces = {s.name: backtest.run(s, series)[1] for s in swept}
+    assert 0 < counted_decides(policy, series) < n
+    recenters = {name: int(trace["action"].sum()) for name, trace in traces.items()}
     originals = [getattr(owner, attr) for owner, attr, _ in LAYERS]
     with load_tracer() as tracer:
         for (owner, attr, _), original in zip(LAYERS, originals):
@@ -55,17 +57,45 @@ def test_tracer_wraps_trace_layers(tmp_path):
         env = envsim.LpEnv(series, episode_length=5)
         env.reset(0)
         env.step(1)
-    assert recenters > 0
+    assert min(recenters.values()) > 0
     expected = {
         "envsim.write_trace_csv": 1,
         "backtest.run": len(swept) + 1,
         "backtest.gas_sweep": 1,
         "envsim.LpEnv.step": 1,
-        "strategies.lancelot.decide": 2 * n,
-        "strategies.galahad.decide": n,
-        "strategies.rammstein.decide": n,
-        "ammcore.fee_step": (len(swept) + 1) * n + 1,
-        "ammcore.recenter": recenters + 1,
+        # lancelot is asked only at the out-of-band bar where it recenters
+        "strategies.lancelot.decide": 2 * recenters["lancelot"],
+        "strategies.galahad.decide": out_of_band_bars(traces["galahad"], closes[0]),
+        # the policy decides bar by bar only in its short windows
+        "strategies.rammstein.decide": counted_decides(policy, series),
+        # held bars accrue through ammcore.hold; fee_step runs on recenter bars and the env step
+        "ammcore.fee_step": sum(recenters.values()) + recenters["lancelot"] + 1,
+        "ammcore.recenter": sum(recenters.values()) + recenters["lancelot"] + 1,
     }
     assert {name: tracer.calls(name) for *_, name in LAYERS} == expected
     assert [getattr(owner, attr) for owner, attr, _ in LAYERS] == originals
+
+
+def out_of_band_bars(trace, center0, width=0.002):
+    """Bars whose price lies outside the band held before their decision."""
+    held = np.concatenate([[center0], trace["center"][:-1]])
+    price = trace["price"]
+    return int(np.count_nonzero(~((held * (1.0 - width) <= price) & (price <= held * (1.0 + width)))))
+
+
+def counted_decides(strategy, series):
+    """decide calls in one untraced run of `strategy`."""
+    calls = []
+    cls = type(strategy)
+    decide = cls.decide
+
+    def counted(self, *args):
+        calls.append(args[0])
+        return decide(self, *args)
+
+    cls.decide = counted
+    try:
+        backtest.run(strategy, series)
+    finally:
+        cls.decide = decide
+    return len(calls)

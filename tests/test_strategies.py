@@ -146,7 +146,11 @@ class TestPolicyStrategy:
 
 
 class TestNoLookAhead:
-    @pytest.mark.parametrize("factory", [st.Lancelot, st.GalahadOu, st.Bedivere])
+    @pytest.mark.parametrize(
+        "factory",
+        # seed 2 both holds and recenters; its batched windows read past the prefix
+        [st.Lancelot, st.GalahadOu, st.Bedivere, lambda: st.PolicyStrategy(neural.Mlp(Q_NET_DIMS, seed=2))],
+    )
     def test_prefix_decisions_stable(self, factory):
         sched = RegimeSchedule(
             segments=((800, OuParams(0.01, 100.0, 0.05)),),
@@ -159,6 +163,58 @@ class TestNoLookAhead:
         _, tr_prefix = backtest.run(factory(), prefix, POOL)
         for k in ("t", "action", "center"):
             assert np.array_equal(tr_full[k][:500], tr_prefix[k]), k
+
+
+class TestPolicySearchCost:
+    """How many forwards next_recenter spends, by how often the policy acts."""
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        rows = []
+        forward = neural.forward
+
+        def counted(net, x, work=None):
+            rows.append(0 if np.ndim(x) == 1 else len(x))  # 0: a one-row forward
+            return forward(net, x, work)
+
+        monkeypatch.setattr(neural, "forward", counted)
+        return rows
+
+    def test_never_acting_policy_batches_every_bar(self, forwards):
+        n = 6000
+        report, _ = backtest.run(st.PolicyStrategy(constant_policy_net(1.0, 0.0)), wandering(n), POOL)
+        assert report.rebalance_count == 1
+        # windows of 4, 8, ..., 256 rows, then 512 at a time
+        ramp = [4, 8, 16, 32, 64, 128, 256]
+        rest = n - sum(ramp)
+        assert forwards == ramp + [512] * (rest // 512) + [rest % 512]
+        assert 0 not in forwards
+
+    def test_always_acting_policy_costs_a_forward_per_bar(self, forwards):
+        n = 3000
+        report, _ = backtest.run(st.PolicyStrategy(constant_policy_net(-1.0, 0.0)), wandering(n), POOL)
+        assert report.rebalance_count == n + 1
+        assert len(forwards) <= n + 2
+        assert forwards.count(0) >= n - 2  # one bar at a time after the first recenter
+
+
+def wandering(n):
+    sched = RegimeSchedule(
+        segments=((n, OuParams(0.01, 100.0, 0.05)),),
+        initial_price=100.0,
+        volume_model=VolumeModel(1000.0, 1.0),
+    )
+    return simulate_schedule(sched, 4)
+
+
+class TestStrategyBase:
+    def test_deciding_without_a_search_rejected(self):
+        # backtest.run asks next_recenter only; the base one never recenters
+        with pytest.raises(TypeError, match="next_recenter"):
+
+            class DecidesOnly(st.Strategy):
+                def decide(self, i, price, pos, features):
+                    return price
 
 
 class TestRegistry:
