@@ -117,7 +117,7 @@ def select_action(net: Mlp, state, epsilon: float, rng: np.random.Generator) -> 
     if rng.random() < epsilon:
         return int(rng.integers(0, 2))
     q = neural.forward(net, state)
-    return int(np.argmax(q))  # first max wins, so ties pick action 0
+    return int(q.argmax())  # first max wins, so ties pick action 0
 
 
 def ddqn_target(batch, online: Mlp, target: Mlp, gamma: float) -> np.ndarray:

@@ -1,25 +1,33 @@
 """Strategy backtests, gas-cost sweeps, and decision-boundary grids.
 
-The runner walks a bar series from one recenter to the next: the
-strategy's next_recenter names the bar of its next recenter, ammcore.hold
-accrues the held bars before it in one call, and ammcore.step applies the
-recenter and accrues that same bar's fees (its docstring states the
-fee-bar convention). Every decision, report and trace is the one a
-bar-by-bar loop over Strategy.decide gives.
+The runner walks a bar series from one recenter to the next. It searches
+for each recenter in windows of bars: FIRST_WINDOW bars at bar 0, twice
+the previous hold (at least one bar) after a recenter, and twice as many
+after each window without one, up to WINDOW_CAP. The strategy's
+first_recenter answers for one window at a time, given a copy of the
+position advanced past the windows already searched. ammcore.hold then
+accrues the held bars in one call, and ammcore.step applies the recenter
+and accrues that same bar's fees (its docstring states the fee-bar
+convention). Every decision, report and trace is the one a bar-by-bar
+loop over Strategy.decide gives, whatever the window sizes.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ammcore, artifacts, neural
-from .ammcore import PoolConfig
+from .ammcore import PoolConfig, Position
 from .envsim import FeatureTrack
 from .errors import EmptyData
 from .marketdata import BarSeries
 from .strategies import Strategy
+
+FIRST_WINDOW = 4  # bars in the first window searched from bar 0
+WINDOW_CAP = 512  # most bars in one window, so most rows in one batched policy forward
 
 
 @dataclass(frozen=True)
@@ -80,11 +88,9 @@ def run(
     close, volume = series.close, series.volume
     center, fee, gas = np.empty(n), np.empty(n), np.zeros(n)
     action, in_range = np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    start, held = 0, 0
+    start, size = 0, FIRST_WINDOW
     while start < n:
-        stop, target = strategy.next_recenter(start, pos, features, held) or (n, None)
-        if target is not None and not start <= stop < n:
-            raise ValueError(f"{strategy.name} recenters at bar {stop}, outside [{start}, {n})")
+        stop, target = _first_recenter(strategy, start, size, pos, features) or (n, None)
         if stop > start:
             fee[start:stop], in_range[start:stop] = ammcore.hold(pos, close[start:stop], volume[start:stop], cfg)
             center[start:stop] = pos.center
@@ -95,7 +101,7 @@ def run(
         center[stop] = pos.center
         action[stop] = 1
         in_range[stop] = ammcore.in_range(pos, price)
-        start, held = stop + 1, stop - start
+        start, size = stop + 1, max(2 * (stop - start), 1)
 
     report = BacktestReport(
         strategy=strategy.name,
@@ -119,6 +125,25 @@ def run(
         "in_range": in_range,
     }
     return report, trace
+
+
+def _first_recenter(strategy: Strategy, lo: int, size: int, pos: Position, features: FeatureTrack):
+    """strategy's first (bar, target) at or after bar lo if pos is held from
+    lo, or None; searched in windows of `size` bars, doubling up to WINDOW_CAP."""
+    close = features.series.close
+    probe = pos  # as it stands before bar lo's decision; copied before each advance
+    while lo < len(close):
+        hi = min(lo + min(size, WINDOW_CAP), len(close))
+        found = strategy.first_recenter(lo, hi, probe, features)
+        if found is not None:
+            if not lo <= found[0] < hi:
+                raise ValueError(f"{strategy.name} recenters at bar {found[0]}, outside [{lo}, {hi})")
+            return found
+        probe = copy.copy(probe)
+        probe.total_seconds += hi - lo
+        probe.active_seconds += int(np.count_nonzero(ammcore.in_band(probe, close[lo:hi])))
+        lo, size = hi, 2 * size
+    return None
 
 
 def _check_features(series: BarSeries, features: FeatureTrack) -> None:

@@ -51,16 +51,12 @@ def build_state(pos: Position, features: FeatureTrack, i: int) -> np.ndarray:
     """The float64 observation row at bar i; fallbacks keep every entry finite.
 
     Order: delta_p, d_edge, theta, delta_mu, sigma_norm, active_frac,
-    recent_vol, in_range. An invalid estimate zeroes theta, delta_mu and
-    sigma_norm.
+    recent_vol, in_range. The position-free entries come from
+    features.bar_columns, where an invalid estimate zeroes theta, delta_mu
+    and sigma_norm.
     """
     s = float(features.series.close[i])
-    if features.valid[i]:
-        theta = float(features.theta[i])
-        delta_mu = (float(features.mu[i]) - s) / s
-        sigma_norm = min(float(features.sigma[i]) / s, SIGMA_NORM_CLIP)
-    else:
-        theta = delta_mu = sigma_norm = 0.0
+    theta, delta_mu, sigma_norm, recent_vol = features.bar_columns[i].tolist()
     d_edge = (s - pos.center) / (pos.center * pos.width)
     return np.array(
         [
@@ -70,25 +66,22 @@ def build_state(pos: Position, features: FeatureTrack, i: int) -> np.ndarray:
             delta_mu,
             sigma_norm,
             ammcore.active_fraction(pos),
-            min(max(float(features.recent_vol[i]), 0.0), RECENT_VOL_CLIP),
+            recent_vol,
             1.0 if ammcore.in_range(pos, s) else 0.0,
         ]
     )
 
 
-def hold_states(
-    pos: Position, features: FeatureTrack, start: int, stop: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def hold_states(pos: Position, features: FeatureTrack, start: int, stop: int) -> np.ndarray:
     """build_state's rows for bars start..stop-1 if pos is held over them.
 
     `pos` is the position as it stands before bar start's decision. Each
     row equals, bit for bit, what build_state returns at that bar after
-    fee_step has accrued the bars before it. The rows are written into
-    `out[:stop - start]` when given.
+    fee_step has accrued the bars before it.
     """
     s = features.series.close[start:stop]
     k = len(s)
-    rows = np.empty((k, STATE_DIM)) if out is None else out[:k]
+    rows = np.empty((k, STATE_DIM))
     rows[:, 2:5] = features.bar_columns[start:stop, :3]
     rows[:, 6] = features.bar_columns[start:stop, 3]
     np.divide(s, pos.center, out=rows[:, 0])
@@ -145,11 +138,13 @@ class FeatureTrack:
 
     @functools.cached_property
     def bar_columns(self) -> np.ndarray:
-        """build_state's theta, delta_mu, sigma_norm and recent_vol at every bar, (n, 4).
+        """The observation's theta, delta_mu, sigma_norm and recent_vol at every bar, (n, 4).
 
-        These entries do not depend on the position. Invalid bars keep
-        build_state's 0.0, and the clips copy a bound only where Python's
-        max(x, lo) and min(x, hi) would return it, NaN and -0.0 included.
+        These entries do not depend on the position. An invalid estimate
+        zeroes the first three; sigma_norm is clipped above at
+        SIGMA_NORM_CLIP and recent_vol to [0, RECENT_VOL_CLIP]. A clip
+        copies a bound only where Python's max(x, lo) and min(x, hi) would
+        return it, NaN and -0.0 included.
         """
         s, valid = self.series.close, self.valid
         block = np.zeros((len(s), 4))

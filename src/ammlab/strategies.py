@@ -6,10 +6,11 @@ the whole series. A decision is the price to recenter at (the current
 one or a chosen one), or None to hold. Strategies read the regime
 features of bar i from the run's FeatureTrack by index.
 
-backtest.run asks each strategy one question per recenter: holding from
-a bar, at which bar do you next recenter, and where? next_recenter
-answers it with a search whose every answer is the one decide would give
-bar by bar.
+backtest.run searches for each recenter in windows of bars and asks the
+strategy one question per window: holding from bar lo, at which bar in
+[lo, hi) do you first recenter, and where? first_recenter answers it
+with what decide would give bar by bar; the window sizes are the
+runner's and change only how fast the answer comes.
 """
 
 from __future__ import annotations
@@ -25,19 +26,7 @@ from .errors import ShapeError
 from .marketdata import BarSeries
 
 MERLIN_MIN_WIDTH = 1e-4
-BAND_SEARCH_WINDOW = 16  # bars in the first window of an out-of-band search
-POLICY_WINDOW_CAP = 512  # most observation rows in one batched policy forward
 POLICY_MIN_BATCH = 4  # a shorter policy window is decided bar by bar
-
-
-def _windows(start: int, stop: int, size: int, cap: int):
-    """Consecutive windows [lo, hi) from start to stop; the first `size`
-    bars long, each next one twice as long, none longer than `cap`."""
-    lo, size = start, min(size, cap)
-    while lo < stop:
-        hi = min(lo + size, stop)
-        yield lo, hi
-        lo, size = hi, min(2 * size, cap)
 
 
 class Strategy:
@@ -47,8 +36,8 @@ class Strategy:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if cls.decide is not Strategy.decide and cls.next_recenter is Strategy.next_recenter:
-            raise TypeError(f"{cls.__name__} overrides decide, so it must override next_recenter")
+        if cls.decide is not Strategy.decide and cls.first_recenter is Strategy.first_recenter:
+            raise TypeError(f"{cls.__name__} overrides decide, so it must override first_recenter")
 
     def initial_range(self, series: BarSeries, width: float) -> tuple[float, float]:
         """The opening (center, half-width); only oracle strategies look past bar 0."""
@@ -64,18 +53,16 @@ class Strategy:
         """
         return None
 
-    def next_recenter(
-        self, start: int, pos: ammcore.Position, features: envsim.FeatureTrack, held: int = 0
+    def first_recenter(
+        self, lo: int, hi: int, pos: ammcore.Position, features: envsim.FeatureTrack
     ) -> tuple[int, float] | None:
-        """(i, target) for the first bar i >= start at which the strategy
-        recenters if `pos` is held from bar start on, or None if it holds
-        to the last bar.
+        """(i, target) for the first bar i in [lo, hi) at which the strategy
+        recenters if `pos` is held from bar lo on, or None if it holds
+        through bar hi - 1.
 
-        `pos` stands as before bar start's decision and is not changed.
-        The answer is what decide returns bar by bar, each bar seeing pos
-        held over the bars before it. `held` is the number of bars held
-        before the previous recenter (0 before the first); a search may
-        size its windows from it, and only its speed may depend on it.
+        `pos` stands as before bar lo's decision and is not changed. The
+        answer is what decide returns bar by bar, each bar seeing pos held
+        over the bars before it.
         """
         return None
 
@@ -84,17 +71,16 @@ class _BandSearch(Strategy):
     """A strategy that holds while the price is in the band.
 
     Its decide reads only the band, which holding does not move, so the
-    search gallops over the bars, finds the out-of-band ones with one
-    comparison per window, and asks decide at those only.
+    search finds a window's out-of-band bars with one comparison and asks
+    decide at those only.
     """
 
-    def next_recenter(self, start, pos, features, held=0):
+    def first_recenter(self, lo, hi, pos, features):
         close = features.series.close
-        for lo, hi in _windows(start, len(close), max(2 * held, BAND_SEARCH_WINDOW), len(close)):
-            for i in np.flatnonzero(~ammcore.in_band(pos, close[lo:hi])).tolist():
-                target = self.decide(lo + i, float(close[lo + i]), pos, features)
-                if target is not None:
-                    return lo + i, target
+        for i in (lo + np.flatnonzero(~ammcore.in_band(pos, close[lo:hi]))).tolist():
+            target = self.decide(i, float(close[i]), pos, features)
+            if target is not None:
+                return i, target
         return None
 
 
@@ -211,54 +197,37 @@ class PolicyStrategy(Strategy):
         q = neural.forward(self.net, envsim.build_state(pos, features, i))
         return price if int(q.argmax()) == 1 else None
 
-    def next_recenter(self, start, pos, features, held=0):
-        """Batched forwards over windows of hold-path observation rows.
+    def first_recenter(self, lo, hi, pos, features):
+        """One batched forward over the window's hold-path observation rows.
 
         A batch runs through other matmul kernels than decide's one-row
         forward, so its last bits differ. A row decides from the batch only
         when its margin q1 - q0 clears _margin_bound, which is then the
         one-row forward's sign too; every other row, a NaN margin included,
-        is decided by the one-row forward itself. Windows double after a
-        window without a recenter, up to POLICY_WINDOW_CAP rows; the first
-        is twice the previous hold (POLICY_MIN_BATCH rows at bar 0), and a
-        window shorter than POLICY_MIN_BATCH is decided bar by bar. After a
-        recenter on the first bar of a search, the next search starts with
-        decide on that bar alone, so a policy that acts on nearly every bar
-        costs about what the per-bar loop does.
+        is decided by the one-row forward itself. A window shorter than
+        POLICY_MIN_BATCH is decided bar by bar, so a policy that acts on
+        nearly every bar, and gets one-bar windows, costs about what the
+        per-bar loop does.
         """
         close = features.series.close
-        if start and not held:  # the last search recentered on its first bar: try this bar alone
-            price = float(close[start])
-            target = self.decide(start, price, pos, features)
-            if target is not None:
-                return start, target
-            lo, first = start + 1, 2
-        else:
-            lo, first = start, 2 * held if start else POLICY_MIN_BATCH
-        probe = copy.copy(pos)  # pos as it will stand before bar lo's decision
-        if lo > start:
-            probe.total_seconds += 1
-            probe.active_seconds += ammcore.in_range(pos, price)
-        buffer = np.empty((min(POLICY_WINDOW_CAP, len(close) - lo), envsim.STATE_DIM))
-        for lo, hi in _windows(lo, len(close), first, POLICY_WINDOW_CAP):
-            if hi - lo < POLICY_MIN_BATCH:
-                for i in range(lo, hi):
-                    price = float(close[i])
-                    target = self.decide(i, price, probe, features)
-                    if target is not None:
-                        return i, target
-                    probe.total_seconds += 1
-                    probe.active_seconds += ammcore.in_range(probe, price)
-                continue
-            rows = envsim.hold_states(probe, features, lo, hi, out=buffer)
-            q = neural.forward(self.net, rows)
-            margin = q[:, 1] - q[:, 0]
-            certified = np.abs(margin) > np.abs(rows) @ self._bound_gain + self._bound_offset
-            for j in np.flatnonzero(~certified | (margin > 0.0)).tolist():
-                if certified[j] or int(neural.forward(self.net, rows[j].copy()).argmax()) == 1:
-                    return lo + j, float(close[lo + j])
-            probe.total_seconds += hi - lo
-            probe.active_seconds += int(np.count_nonzero(rows[:, -1]))
+        if hi - lo < POLICY_MIN_BATCH:
+            probe = pos
+            for i in range(lo, hi):
+                price = float(close[i])
+                target = self.decide(i, price, probe, features)
+                if target is not None:
+                    return i, target
+                probe = copy.copy(probe)
+                probe.total_seconds += 1
+                probe.active_seconds += ammcore.in_range(probe, price)
+            return None
+        rows = envsim.hold_states(pos, features, lo, hi)
+        q = neural.forward(self.net, rows)
+        margin = q[:, 1] - q[:, 0]
+        certified = np.abs(margin) > np.abs(rows) @ self._bound_gain + self._bound_offset
+        for j in np.flatnonzero(~certified | (margin > 0.0)).tolist():
+            if certified[j] or int(neural.forward(self.net, rows[j].copy()).argmax()) == 1:
+                return lo + j, float(close[lo + j])
         return None
 
 

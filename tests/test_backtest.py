@@ -95,8 +95,8 @@ class TestRun:
         class Backwards(st.Strategy):
             name = "backwards"
 
-            def next_recenter(self, start, pos, features, held=0):
-                return start - 1, 100.0
+            def first_recenter(self, lo, hi, pos, features):
+                return lo - 1, 100.0
 
         with pytest.raises(ValueError, match="outside"):
             bt.run(Backwards(), series_from_closes([100.0] * 5), POOL)
@@ -607,6 +607,31 @@ class TestMatchesPerBarRun:
         features, cfg = envsim.FeatureTrack(series), config.pool_config(doc)
         strategy = DIFFERENTIAL[name]
         assert_same_run(bt.run(strategy, series, cfg, features), per_bar_run(strategy, series, cfg, features))
+
+
+window_sizes = hst.sampled_from([1, 2, 7, 512, None])  # None: the series' length
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL))
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    n=hst.integers(1, 400),
+    theta=hst.floats(1e-4, 0.1),
+    sigma=hst.floats(0.01, 0.5),
+    first=window_sizes,
+    cap=window_sizes,
+)
+def test_window_sizes_change_speed_only(name, seed, n, theta, sigma, first, cap):
+    series = ou_series(seed, n, theta, sigma)
+    features = envsim.FeatureTrack(series, window=30)
+    strategy = DIFFERENTIAL[name]
+    want = bt.run(strategy, series, POOL, features)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bt, "FIRST_WINDOW", first or n)
+        patch.setattr(bt, "WINDOW_CAP", cap or n)
+        got = bt.run(strategy, series, POOL, features)
+    assert_same_run(got, want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -209,8 +209,8 @@ def wandering(n):
 
 class TestStrategyBase:
     def test_deciding_without_a_search_rejected(self):
-        # backtest.run asks next_recenter only; the base one never recenters
-        with pytest.raises(TypeError, match="next_recenter"):
+        # backtest.run asks first_recenter only; the base one never recenters
+        with pytest.raises(TypeError, match="first_recenter"):
 
             class DecidesOnly(st.Strategy):
                 def decide(self, i, price, pos, features):
