@@ -67,8 +67,13 @@ class Position:
         self._set_bounds()
 
     def _set_bounds(self):
-        self.lower = self.center * (1.0 - self.width)
-        self.upper = self.center * (1.0 + self.width)
+        self.lower, self.upper = band(self.center, self.width)
+
+
+def band(center, width):
+    """The band's (lower, upper) edges c(1-w), c(1+w), for a center or an
+    array of them; in_range, in_band and the QVI fee table all test against it."""
+    return center * (1.0 - width), center * (1.0 + width)
 
 
 def open_position(center: float, cfg: PoolConfig, width: float | None = None) -> Position:

@@ -4,23 +4,22 @@ The runner walks a bar series from one recenter to the next. It searches
 for each recenter in windows of bars: FIRST_WINDOW bars at bar 0, twice
 the previous hold (at least one bar) after a recenter, and twice as many
 after each window without one, up to WINDOW_CAP. The strategy's
-first_recenter answers for one window at a time, given a copy of the
-position advanced past the windows already searched. ammcore.hold then
-accrues the held bars in one call, and ammcore.step applies the recenter
-and accrues that same bar's fees (its docstring states the fee-bar
+first_recenter answers for one window at a time, given the run's own
+position. ammcore.hold accrues the bars the strategy held in that window
+before the next is searched, and ammcore.step applies a recenter and
+accrues that same bar's fees (its docstring states the fee-bar
 convention). Every decision, report and trace is the one a bar-by-bar
 loop over Strategy.decide gives, whatever the window sizes.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import ammcore, artifacts, neural
-from .ammcore import PoolConfig, Position
+from .ammcore import PoolConfig
 from .envsim import FeatureTrack
 from .errors import EmptyData
 from .marketdata import BarSeries
@@ -74,7 +73,8 @@ def run(
     envsim.TRACE_HEADER. ``action`` is 1 on the bars where the strategy
     recentered; the opening placement is not a row. ``center``, ``fee``,
     ``gas`` and ``in_range`` are taken after that bar's decision, ``theta``
-    is 0.0 where the estimate is invalid, and ``reward`` is always 0.0.
+    is the observation's (FeatureTrack.bar_columns: 0.0 where the estimate
+    is invalid), and ``reward`` is always 0.0.
     """
     if len(series) == 0:
         raise EmptyData("cannot backtest an empty series")
@@ -88,20 +88,26 @@ def run(
     close, volume = series.close, series.volume
     center, fee, gas = np.empty(n), np.empty(n), np.zeros(n)
     action, in_range = np.zeros(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    start, size = 0, FIRST_WINDOW
-    while start < n:
-        stop, target = _first_recenter(strategy, start, size, pos, features) or (n, None)
-        if stop > start:
-            fee[start:stop], in_range[start:stop] = ammcore.hold(pos, close[start:stop], volume[start:stop], cfg)
-            center[start:stop] = pos.center
+    start, lo, size = 0, 0, FIRST_WINDOW  # the held stretch began at start; the window at lo
+    while lo < n:
+        hi = min(lo + min(size, WINDOW_CAP), n)
+        found = strategy.first_recenter(lo, hi, pos, features)
+        if found is not None and not lo <= found[0] < hi:
+            raise ValueError(f"{strategy.name} recenters at bar {found[0]}, outside [{lo}, {hi})")
+        stop, target = found or (hi, None)
+        if stop > lo:
+            fee[lo:stop], in_range[lo:stop] = ammcore.hold(pos, close[lo:stop], volume[lo:stop], cfg)
+            center[lo:stop] = pos.center
         if target is None:
-            break
-        price = float(close[stop])
-        fee[stop], gas[stop] = ammcore.step(pos, target, price, float(volume[stop]), cfg)
-        center[stop] = pos.center
-        action[stop] = 1
-        in_range[stop] = ammcore.in_range(pos, price)
-        start, size = stop + 1, max(2 * (stop - start), 1)
+            lo, size = hi, 2 * size
+        else:
+            price = float(close[stop])
+            fee[stop], gas[stop] = ammcore.step(pos, target, price, float(volume[stop]), cfg)
+            center[stop] = pos.center
+            action[stop] = 1
+            in_range[stop] = ammcore.in_range(pos, price)
+            size = max(2 * (stop - start), 1)
+            start = lo = stop + 1
 
     report = BacktestReport(
         strategy=strategy.name,
@@ -121,29 +127,10 @@ def run(
         "fee": fee,
         "gas": gas,
         "reward": np.zeros(n),
-        "theta": np.where(features.valid, features.theta, 0.0),
+        "theta": features.bar_columns[:, 0],
         "in_range": in_range,
     }
     return report, trace
-
-
-def _first_recenter(strategy: Strategy, lo: int, size: int, pos: Position, features: FeatureTrack):
-    """strategy's first (bar, target) at or after bar lo if pos is held from
-    lo, or None; searched in windows of `size` bars, doubling up to WINDOW_CAP."""
-    close = features.series.close
-    probe = pos  # as it stands before bar lo's decision; copied before each advance
-    while lo < len(close):
-        hi = min(lo + min(size, WINDOW_CAP), len(close))
-        found = strategy.first_recenter(lo, hi, probe, features)
-        if found is not None:
-            if not lo <= found[0] < hi:
-                raise ValueError(f"{strategy.name} recenters at bar {found[0]}, outside [{lo}, {hi})")
-            return found
-        probe = copy.copy(probe)
-        probe.total_seconds += hi - lo
-        probe.active_seconds += int(np.count_nonzero(ammcore.in_band(probe, close[lo:hi])))
-        lo, size = hi, 2 * size
-    return None
 
 
 def _check_features(series: BarSeries, features: FeatureTrack) -> None:
@@ -193,7 +180,6 @@ def gas_sweep(
         raise ValueError(f"strategy names must be distinct, got {names}")
     cfg = cfg or PoolConfig()
     features = features or FeatureTrack(series)
-    _check_features(series, features)
 
     rows = []
     curves: dict[str, list[tuple[float, float]]] = {}

@@ -222,16 +222,12 @@ def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
 def cmd_qvi(args, doc, seed, cfg_hash, out_dir):
     q = doc.get("qvi", {})
     ou = synthpath.OuParams(q.get("theta", 0.05), q.get("mu", 100.0), q.get("sigma", 0.5))
-    problem = qvi.QviProblem.default(
-        ou,
-        config_mod.pool_config(doc),
-        n_s=q.get("n_s", 400),
-        n_c=q.get("n_c", 100),
-        span_sigmas=q.get("span_sigmas", qvi.MIN_SPAN_SIGMAS),
-        rho=q.get("rho", qvi.DEFAULT_RHO),
-        ref_volume=q.get("ref_volume", 50_000.0),
-        cost=q.get("cost"),
-    )
+    pool = config_mod.pool_config(doc)
+    grid = {key: q[key] for key in ("n_s", "n_c", "span_sigmas", "rho", "ref_volume", "cost") if key in q}
+    try:
+        problem = qvi.QviProblem.default(ou, pool, **grid)
+    except ValueError as exc:
+        raise config_mod.ConfigError(f"qvi: {exc}") from None
     tol = q.get("tol", 1e-6)
     sol = qvi.solve(problem, tol=tol, max_iters=q.get("max_iters", 20_000))
     if not sol.converged:

@@ -82,6 +82,8 @@ class QviProblem:
     def __post_init__(self):
         if self.rho <= 0:
             raise ValueError("rho must be > 0")
+        if self.s_grid.lo <= 0 or self.c_grid.lo <= 0:
+            raise ValueError("S- and c-grids must lie at positive prices")
         if self.ou.theta > 0 and self.ou.sigma > 0:
             half_span = MIN_SPAN_SIGMAS * self.ou.sigma / math.sqrt(2.0 * self.ou.theta)
             if self.s_grid.lo > self.ou.mu - half_span or self.s_grid.hi < self.ou.mu + half_span:
@@ -164,10 +166,9 @@ def _operator(problem: QviProblem):
 
 
 def _fee_table(problem: QviProblem, s: np.ndarray, c: np.ndarray) -> np.ndarray:
-    f0 = problem.fee_rate()
-    w = problem.pool.width
-    in_band = np.abs(s[:, None] / c[None, :] - 1.0) <= w
-    return np.where(in_band, f0, 0.0)
+    lower, upper = ammcore.band(c, problem.pool.width)
+    in_band = (lower <= s[:, None]) & (s[:, None] <= upper)
+    return np.where(in_band, problem.fee_rate(), 0.0)
 
 
 class _Factorization:

@@ -146,6 +146,27 @@ class TestHold:
             ac.hold(pos, np.array([100.0, 100.0]), np.array([1.0, -1.0]), CFG)
         assert pos == make_pos()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        prices=hst.lists(hst.floats(99.5, 100.5), max_size=60),
+        volumes=hst.lists(hst.floats(0.0, 1e6), min_size=60, max_size=60),
+        cuts=hst.lists(hst.integers(0, 60), max_size=6),
+        accrued=hst.floats(0.0, 1e4),
+        width=hst.sampled_from([0.0005, 0.002, 0.01]),
+    )
+    def test_chunks_match_one_call(self, prices, volumes, cuts, accrued, width):
+        """backtest.run accrues a held stretch window by window."""
+        pos, ref = make_pos(width=width), make_pos(width=width)
+        pos.accrued_fees = ref.accrued_fees = accrued
+        prices, volumes = np.array(prices), np.array(volumes[: len(prices)])
+        fee, inside = ac.hold(ref, prices, volumes, CFG)
+        edges = [0, *sorted(min(c, len(prices)) for c in cuts), len(prices)]
+        chunks = [ac.hold(pos, prices[a:b], volumes[a:b], CFG) for a, b in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate([f for f, _ in chunks]).view(np.int64), fee.view(np.int64))
+        assert np.array_equal(np.concatenate([i for _, i in chunks]).astype(np.int64), inside.astype(np.int64))
+        assert pos.accrued_fees == ref.accrued_fees
+        assert (pos.active_seconds, pos.total_seconds) == (ref.active_seconds, ref.total_seconds)
+
 
 class TestRecenter:
     def test_moves_center_and_charges(self):

@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -473,7 +473,7 @@ class TestReports:
 
 
 def per_bar_run(strategy, series, cfg, features):
-    """backtest.run as it was before next_recenter: the reference.
+    """backtest.run as it was before first_recenter: the reference.
 
     Every bar asks decide and goes through ammcore.step.
     """
@@ -632,6 +632,29 @@ def test_window_sizes_change_speed_only(name, seed, n, theta, sigma, first, cap)
         patch.setattr(bt, "WINDOW_CAP", cap or n)
         got = bt.run(strategy, series, POOL, features)
     assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL))
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=hst.integers(0, 2**32 - 1),
+    n=hst.integers(1, 300),
+    lo=hst.integers(0, 299),
+    size=hst.integers(1, 600),
+    sigma=hst.floats(0.01, 0.5),
+)
+def test_first_recenter_leaves_pos_alone(name, seed, n, lo, size, sigma):
+    """backtest.run hands every window its own position, not a copy."""
+    series = ou_series(seed, n, 0.01, sigma)
+    features = envsim.FeatureTrack(series, window=30)
+    strategy = DIFFERENTIAL[name]
+    lo = min(lo, n - 1)
+    center0, width0 = strategy.initial_range(series, POOL.width)
+    pos = ammcore.open_position(center0, POOL, width=width0)
+    ammcore.hold(pos, series.close[:lo], series.volume[:lo], POOL)
+    before = asdict(pos)
+    strategy.first_recenter(lo, min(lo + size, n), pos, features)
+    assert asdict(pos) == before
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import filecmp
 import functools
 import inspect
@@ -122,6 +123,15 @@ class TestValidation:
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_qvi_grid_at_non_positive_prices_exits_one(self, tmp_path, capsys):
+        # at theta 1e-4 the default grids span mu +/- 176.8, down to S = c = -76.8
+        doc = json.loads((Path(__file__).parent.parent / "configs" / "stationary.json").read_text())
+        doc["qvi"].update(theta=0.0001, n_s=60, n_c=12)
+        out = tmp_path / "qvi"
+        assert cli.main(["qvi", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert not (out / "qvi_solution.csv").exists()
+        assert "positive prices" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bounds", [{"theta_min": 0.1, "theta_max": 0.0}, {"theta_min": 0.2}])
     def test_heatmap_theta_min_above_max_exits_one(self, tmp_path, bounds):
         ckpt = tmp_path / "checkpoint.json"
@@ -201,6 +211,16 @@ class TestValidation:
                 if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
             }
             assert set(config_mod._STRATEGY_PARAMS[name]) == keywords, name
+
+    def test_qvi_keys_match_problem_and_solve(self):
+        keywords = {field.name for field in dataclasses.fields(synthpath.OuParams)}
+        for fn in (qvi.QviProblem.default, qvi.QviProblem, qvi.solve):
+            keywords |= {
+                p.name
+                for p in inspect.signature(fn).parameters.values()
+                if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+            }
+        assert set(config_mod.SCHEMA["properties"]["qvi"]["properties"]) <= keywords
 
     @pytest.mark.parametrize("segment", ["train", "val", "test"])
     def test_segment_without_splits_exits_one(self, tmp_path, segment):

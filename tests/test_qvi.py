@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
-from ammlab import artifacts, config, qvi
+from ammlab import ammcore, artifacts, config, qvi
 from ammlab.ammcore import PoolConfig
 from ammlab.synthpath import OuParams
 
@@ -164,6 +164,13 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             qvi.QviProblem(ou=OU_REF, pool=POOL, s_grid=S_GRID, c_grid=C_GRID, rho=0.0)
 
+    @pytest.mark.parametrize("lo", [0.0, -76.8])
+    @pytest.mark.parametrize("axis", ["s_grid", "c_grid"])
+    def test_grids_at_positive_prices(self, axis, lo):
+        grids = {"s_grid": S_GRID, "c_grid": C_GRID, axis: qvi.GridSpec(lo, 112.0, 100)}
+        with pytest.raises(ValueError, match="positive prices"):
+            qvi.QviProblem(ou=OU_REF, pool=POOL, **grids)
+
     def test_cost_defaults_to_rebalance_cost(self):
         problem = qvi.QviProblem(ou=OU_REF, pool=POOL, s_grid=S_GRID, c_grid=C_GRID)
         assert problem.cost_value() == 4.50
@@ -171,6 +178,32 @@ class TestProblemValidation:
     def test_fee_rate_matches_position_math(self):
         problem = qvi.QviProblem(ou=OU_REF, pool=POOL, s_grid=S_GRID, c_grid=C_GRID, ref_volume=100_000.0)
         assert problem.fee_rate() == pytest.approx(2.236, abs=5e-4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_theta=hst.floats(-4.0, 0.0),
+    log_mu=hst.floats(-1.0, 4.0),
+    log_sigma=hst.floats(-3.0, 1.0),
+    width=hst.sampled_from([0.0005, 0.002, 0.01, 0.3]),
+    n_s=hst.integers(3, 200),
+    n_c=hst.integers(3, 60),
+)
+def test_fee_table_is_the_backtest_band(log_theta, log_mu, log_sigma, width, n_s, n_c):
+    """A node earns fees in the QVI exactly where a Position centered at
+    its c node is in band, so an oracle and a backtest agree on the band.
+    Prices on and one ulp either side of each band edge join the S-grid's."""
+    ou = OuParams(10.0**log_theta, 10.0**log_mu, 10.0**log_sigma)
+    assume(ou.mu - qvi.MIN_SPAN_SIGMAS * ou.sigma / math.sqrt(2.0 * ou.theta) > 0.0)
+    pool = PoolConfig(width=width)
+    problem = qvi.QviProblem.default(ou, pool, n_s=n_s, n_c=n_c)
+    c = problem.c_grid.points()
+    edges = np.concatenate(ammcore.band(c, width))
+    s = np.concatenate([problem.s_grid.points(), edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    table = qvi._fee_table(problem, s, c)
+    for j, center in enumerate(c.tolist()):
+        pos = ammcore.Position(center=center, width=width, capital=pool.capital)
+        assert np.array_equal(table[:, j] != 0.0, ammcore.in_band(pos, s)), j
 
 
 class TestExports:

@@ -166,7 +166,7 @@ class TestNoLookAhead:
 
 
 class TestPolicySearchCost:
-    """How many forwards next_recenter spends, by how often the policy acts."""
+    """How many forwards first_recenter spends, by how often the policy acts."""
 
     @pytest.fixture
     def forwards(self, monkeypatch):
