@@ -1,5 +1,9 @@
 """The one text format of every CSV and JSON artifact the lab writes.
 
+The one binary artifact, the copy of the bar columns that
+``marketdata.write_bars_csv`` writes beside ``bars.csv``, is not covered
+here: ``marketdata`` owns it with the bar layout it mirrors.
+
 CSV dialect: cells are separated by ``,`` and rows end in ``\r\n``; no
 cell needs quoting, and ``write_columns`` refuses one that would. Floats
 are their shortest round-trip text (``repr``), ints and labels their

@@ -11,6 +11,7 @@ also records the run's wall time, peak RSS, versions and thread settings.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -130,16 +131,12 @@ def cmd_ingest(args, doc, seed, cfg_hash, out_dir):
     if trades_path is None:
         raise config_mod.ConfigError("ingest needs data.trades_csv")
     series = marketdata.aggregate(*marketdata.read_trades_csv(trades_path))
-    out = os.path.join(out_dir, "bars.csv")
-    marketdata.write_bars_csv(out, series)
-    return [out]
+    return marketdata.write_bars_csv(os.path.join(out_dir, "bars.csv"), series)
 
 
 def cmd_synth(args, doc, seed, cfg_hash, out_dir):
     series = synthpath.simulate_schedule(config_mod.schedule(doc), seed)
-    out = os.path.join(out_dir, "bars.csv")
-    marketdata.write_bars_csv(out, series)
-    return [out]
+    return marketdata.write_bars_csv(os.path.join(out_dir, "bars.csv"), series)
 
 
 def cmd_estimate(args, doc, seed, cfg_hash, out_dir):
@@ -317,6 +314,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    made_out = not os.path.exists(args.out)
     try:
         os.makedirs(args.out, exist_ok=True)
         cfg_hash = config_mod.config_hash(doc)
@@ -325,10 +323,15 @@ def main(argv=None) -> int:
         return 0
     except config_mod.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code = 1
     except Exception as exc:  # runtime failure, distinct from config errors
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        code = 2
+    if made_out:
+        # only the leaf this call made, and only while empty: partial outputs stay
+        with contextlib.suppress(OSError):
+            os.rmdir(args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,10 +7,22 @@ accrual scales with notional volume. Seconds without trades carry the
 previous close forward with zero volume so the simulation clock is
 gap-free. Both readers and ``aggregate`` reject prices that are not finite
 and positive and sizes or volumes that are not finite and non-negative.
+
+``write_bars_csv`` also writes a binary copy of the bar columns beside the
+CSV, ``<path>.npz``, holding the sha256 of the CSV bytes it wrote.
+``read_bars_csv`` takes the columns from that copy, instead of parsing the
+CSV, only when the copy has exactly the bar layout and its digest equals
+the sha256 of the CSV's current bytes. Every float cell is the shortest
+round-trip text of its value, so both paths give the same bits; the CSV
+stays the one source of truth, and an edited, stale, truncated or foreign
+copy is ignored. The trade CSV comes from outside and gets no copy.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +132,7 @@ def split(series: BarSeries, fractions: tuple[float, float, float]) -> tuple[Bar
 
 TRADE_HEADER = ["timestamp_ms", "price", "size"]
 BAR_HEADER = ["t", "open", "high", "low", "close", "volume"]
+BAR_DTYPES = (np.dtype(np.int64),) + (np.dtype(np.float64),) * 5
 
 
 def read_trades_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,8 +140,50 @@ def read_trades_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return artifacts.read_columns(path, TRADE_HEADER, (np.int64, np.float64, np.float64))
 
 
+def _copy_path(path) -> str:
+    """Where ``write_bars_csv`` puts the binary copy of the bar CSV at ``path``."""
+    return os.fspath(path) + ".npz"
+
+
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 18), b""):  # bounded memory, as hashlib.file_digest (3.11+)
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _is_bar_layout(columns) -> bool:
+    """int64 ``t`` and float64 price and volume columns, 1-D and of equal length."""
+    return (
+        all(col.ndim == 1 and col.dtype == dt for col, dt in zip(columns, BAR_DTYPES))
+        and len({len(col) for col in columns}) == 1
+    )
+
+
+def _columns_from_copy(path):
+    """The bar columns of the copy beside ``path``, or None unless it exists,
+    loads without pickle, has exactly the bar layout and holds the sha256
+    of the CSV's current bytes."""
+    try:
+        # np.load leaves a file it opened itself open when the zip is damaged
+        with open(_copy_path(path), "rb") as fh:
+            npz = np.load(fh, allow_pickle=False)
+            if not isinstance(npz, np.lib.npyio.NpzFile) or sorted(npz.files) != sorted(BAR_HEADER + ["sha256"]):
+                return None
+            columns = tuple(npz[name] for name in BAR_HEADER)
+            digest = npz["sha256"]
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):  # OSError: no copy
+        return None
+    return columns if _is_bar_layout(columns) and str(digest) == _sha256(path) else None
+
+
 def read_bars_csv(path) -> BarSeries:
-    t, o, h, l, c, v = artifacts.read_columns(path, BAR_HEADER, (np.int64,) + (np.float64,) * 5)
+    """The bar series of a bar CSV, from its binary copy when that matches."""
+    columns = _columns_from_copy(path)
+    if columns is None:
+        columns = artifacts.read_columns(path, BAR_HEADER, BAR_DTYPES)
+    t, o, h, l, c, v = columns
     if len(t) == 0:
         raise EmptyData("bar file has no rows")
     if np.any(np.diff(t) != 1):
@@ -137,6 +192,11 @@ def read_bars_csv(path) -> BarSeries:
     return BarSeries(t=t, open=o, high=h, low=l, close=c, volume=v)
 
 
-def write_bars_csv(path, series: BarSeries) -> None:
+def write_bars_csv(path, series: BarSeries) -> list[str]:
+    """Write the bar CSV at ``path`` and, beside it, its binary copy; return both paths."""
     columns = (series.t, series.open, series.high, series.low, series.close, series.volume)
     artifacts.write_columns(path, BAR_HEADER, columns)
+    copy = _copy_path(path)
+    # every array is int64, float64 or str, so no pickled object is written
+    np.savez(copy, sha256=_sha256(path), **dict(zip(BAR_HEADER, columns)))
+    return [os.fspath(path), copy]

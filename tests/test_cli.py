@@ -129,7 +129,7 @@ class TestValidation:
         doc["qvi"].update(theta=0.0001, n_s=60, n_c=12)
         out = tmp_path / "qvi"
         assert cli.main(["qvi", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
-        assert not (out / "qvi_solution.csv").exists()
+        assert not out.exists()
         assert "positive prices" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bounds", [{"theta_min": 0.1, "theta_max": 0.0}, {"theta_min": 0.2}])
@@ -139,7 +139,7 @@ class TestValidation:
         cfg = write_config(tmp_path, base_config(heatmap={**bounds, "theta_points": 3, "d_edge_points": 3}))
         out = tmp_path / "hm"
         assert cli.main(["heatmap", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 1
-        assert not (out / "heatmap.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_exits_one(self, tmp_path, token):
@@ -301,6 +301,16 @@ class TestPipeline:
         assert cli.main(["ingest", "--config", cfg, "--out", str(out)]) == 0
         lines = (out / "bars.csv").read_text().splitlines()
         assert len(lines) == 4  # header + seconds 1..3
+
+    def test_ingest_and_synth_list_the_bar_copy(self, tmp_path):
+        trades = tmp_path / "trades.csv"
+        trades.write_text("timestamp_ms,price,size\n1000,100.0,1.0\n3000,100.5,1.0\n")
+        for command, doc in [("ingest", {"seed": 0, "data": {"trades_csv": str(trades)}}), ("synth", base_config())]:
+            out = tmp_path / command
+            assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["outputs"] == [str(out / "bars.csv"), str(out / "bars.csv.npz")]
+            assert sorted(p.name for p in out.iterdir()) == ["bars.csv", "bars.csv.npz", "manifest.json"]
 
     @pytest.mark.parametrize("row", ["1500,nan,2.0", "1500,-5.0,2.0", "1500,101.0,-3.0"])
     def test_impossible_trade_exits_two_without_bars(self, tmp_path, capsys, row):
@@ -501,6 +511,14 @@ class TestStrategySpecs:
         cfg = write_config(tmp_path, base_config(strategy={"name": "lancelot"}))
         out = tmp_path / "bt"
         assert cli.main(["backtest", "--config", cfg, "--out", str(out), "--strategy", "rammstein"]) == 1
+        assert not out.exists()
+
+    def test_failed_command_keeps_an_out_it_did_not_make(self, tmp_path):
+        cfg = write_config(tmp_path, base_config(strategy={"name": "lancelot"}))
+        out = tmp_path / "bt"
+        out.mkdir()
+        assert cli.main(["backtest", "--config", cfg, "--out", str(out), "--strategy", "rammstein"]) == 1
+        assert out.is_dir()
 
     def test_strategy_flag_drops_other_strategys_params(self, tmp_path):
         cfg = write_config(tmp_path, base_config(strategy={"name": "galahad", "params": {"horizon": 5}}))
@@ -523,7 +541,7 @@ class TestTrainingBounds:
             doc["data"]["splits"] = splits
         argv = ["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "train")]
         assert cli.main(argv + (["--profile", profile] if profile else [])) == 1
-        assert not (tmp_path / "train" / "checkpoint.json").exists()
+        assert not (tmp_path / "train").exists()
         err = capsys.readouterr().err
         assert f"train.episode_length {episode_length}" in err and f"{bars}-bar training segment" in err
 

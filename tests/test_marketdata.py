@@ -1,5 +1,9 @@
+import hashlib
 import math
+import os
 import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +21,11 @@ def trades(*rows):
         np.array([p for _, p, _ in rows], dtype=np.float64),
         np.array([s for _, _, s in rows], dtype=np.float64),
     )
+
+
+def columns_bits(series):
+    """Each bar column as a list of int64 bit patterns, so -0.0 != 0.0."""
+    return [getattr(series, name).view(np.int64).tolist() for name in md.BAR_HEADER]
 
 
 def bar_at(series, i):
@@ -171,10 +180,9 @@ class TestCsv:
     def test_bar_round_trip(self, tmp_path):
         series = md.aggregate(*trades((5, 100.0, 1.0), (7, 101.0, 2.0)))
         path = tmp_path / "bars.csv"
-        md.write_bars_csv(path, series)
-        back = md.read_bars_csv(path)
-        for field in ("t", "open", "high", "low", "close", "volume"):
-            assert np.array_equal(getattr(back, field), getattr(series, field))
+        _, copy = md.write_bars_csv(path, series)
+        os.remove(copy)  # read the CSV text, not its copy
+        assert columns_bits(md.read_bars_csv(path)) == columns_bits(series)
 
     def test_bar_bytes_match_csv_writer(self, tmp_path):
         series = md.aggregate(*trades((5, 100.0, 1.0), (7, 101.0, 2.0)))
@@ -258,4 +266,87 @@ class TestCsv:
         path = tmp_path / "bars.csv"
         path.write_text("\n".join(["t,open,high,low,close,volume"] + rows) + "\n")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line {line}: "):
+            md.read_bars_csv(path)
+
+
+def parse_only():
+    """Patch the bar reader so that parsing the CSV fails the test."""
+    return mock.patch.object(artifacts, "read_columns", side_effect=AssertionError("CSV parsed"))
+
+
+def bar_series(t0, rows):
+    """A BarSeries from (open, high, low, close, volume) rows starting at second t0."""
+    cols = np.array(rows, dtype=np.float64).reshape(-1, 5).T
+    return md.BarSeries(np.arange(t0, t0 + len(rows), dtype=np.int64), *cols)
+
+
+# 17 significant digits, the longest shortest-repr a float64 needs
+PRICES = hst.one_of(hst.floats(1e-3, 1e6), hst.sampled_from([0.30000000000000004, 100.00000000000001, 5e-324]))
+VOLUMES = hst.one_of(hst.sampled_from([0.0, -0.0]), hst.floats(0.0, 1e12))
+BAR_ROWS = hst.lists(hst.tuples(PRICES, PRICES, PRICES, PRICES, VOLUMES), min_size=1, max_size=40)
+
+
+class TestBarCopy:
+    @settings(max_examples=60, deadline=None)
+    @given(t0=hst.integers(-(2**40), 2**40), rows=BAR_ROWS)
+    def test_copy_and_parse_give_the_written_bits(self, tmp_path_factory, t0, rows):
+        series = bar_series(t0, rows)
+        path = tmp_path_factory.mktemp("bars") / "bars.csv"
+        _, copy = md.write_bars_csv(path, series)
+        with parse_only():
+            from_copy = md.read_bars_csv(path)
+        os.remove(copy)
+        parsed = md.read_bars_csv(path)
+        assert columns_bits(from_copy) == columns_bits(parsed) == columns_bits(series)
+
+    def test_edited_csv_is_read_as_edited(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        md.write_bars_csv(path, _flat_series(5))
+        path.write_bytes(path.read_bytes().replace(b"\r\n3,100.0,100.0,100.0,100.0,", b"\r\n3,100.0,100.0,100.0,99.5,"))
+        assert md.read_bars_csv(path).close.tolist() == [100.0, 100.0, 100.0, 99.5, 100.0]
+
+    def test_malformed_edit_raises_the_parse_error(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        md.write_bars_csv(path, _flat_series(5))
+        path.write_bytes(path.read_bytes().replace(b"\r\n3,100.0,", b"\r\n3,x,"))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 5: "):
+            md.read_bars_csv(path)
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "empty", "t_float", "unequal_lengths", "extra_key", "no_digest", "pickled", "lone_array"],
+    )
+    def test_damaged_or_foreign_copy_falls_back_to_parsing(self, tmp_path, damage):
+        path = tmp_path / "bars.csv"
+        series = md.aggregate(*trades((5, 100.0, 1.0), (7, 101.0, 2.0), (8, 100.5, 0.5)))
+        copy = Path(md.write_bars_csv(path, series)[1])
+        columns = {name: getattr(series, name) for name in md.BAR_HEADER}
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        if damage == "truncated":
+            data = copy.read_bytes()
+            copy.write_bytes(data[: len(data) // 2])
+        elif damage == "empty":
+            copy.write_bytes(b"")
+        elif damage == "t_float":
+            np.savez(copy, sha256=digest, **{**columns, "t": series.t.astype(np.float64)})
+        elif damage == "unequal_lengths":
+            np.savez(copy, sha256=digest, **{**columns, "volume": series.volume[:-1]})
+        elif damage == "extra_key":
+            np.savez(copy, sha256=digest, extra=np.zeros(3), **columns)
+        elif damage == "no_digest":
+            np.savez(copy, **columns)
+        elif damage == "pickled":
+            np.savez(copy, sha256=np.array([digest], dtype=object), **columns)
+        elif damage == "lone_array":
+            with copy.open("wb") as fh:
+                np.save(fh, series.close)
+        with mock.patch.object(artifacts, "read_columns", wraps=artifacts.read_columns) as parse:
+            back = md.read_bars_csv(path)
+        assert parse.call_count == 1
+        assert columns_bits(back) == columns_bits(series)
+
+    def test_negative_volume_rejected_on_the_copy_path(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        md.write_bars_csv(path, bar_series(10, [(1.0, 1.0, 1.0, 1.0, 0.0)] * 3 + [(1.0, 1.0, 1.0, 1.0, -2.0)]))
+        with parse_only(), pytest.raises(DomainError, match="bar row 3 "):
             md.read_bars_csv(path)
