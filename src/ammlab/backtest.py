@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import ammcore, artifacts, neural
+from . import ammcore, artifacts, envsim, neural
 from .ammcore import PoolConfig
 from .envsim import FeatureTrack
 from .errors import EmptyData
@@ -74,7 +74,7 @@ def run(
     recentered; the opening placement is not a row. ``center``, ``fee``,
     ``gas`` and ``in_range`` are taken after that bar's decision, ``theta``
     is the observation's (FeatureTrack.bar_columns: 0.0 where the estimate
-    is invalid), and ``reward`` is always 0.0.
+    is invalid).
     """
     if len(series) == 0:
         raise EmptyData("cannot backtest an empty series")
@@ -126,7 +126,6 @@ def run(
         "action": action,
         "fee": fee,
         "gas": gas,
-        "reward": np.zeros(n),
         "theta": features.bar_columns[:, 0],
         "in_range": in_range,
     }
@@ -221,30 +220,21 @@ def heatmap(
     width: float = 0.002,
     sigma_norm: float = 0.0,
     recent_vol: float = 0.0,
-    active_frac: float = 0.5,
 ) -> HeatmapGrid:
     """Q(rebalance) - Q(hold) over a (theta, distance-to-edge) grid.
 
-    The remaining features are pinned: delta_p follows d_edge through the
-    band width, mean deviation is zero, and the volatility features take
-    the supplied reference values (run medians in the CLI pipeline).
+    Each cell is the observation at price 1 + d_edge * width of a position
+    on the band of half-width `width` centred at 1 and active half its
+    time: mean deviation is zero, and the volatility features take the
+    supplied reference values (run medians in the CLI pipeline).
     """
     theta_axis = np.asarray(theta_grid, dtype=np.float64)
     d_edge_axis = np.asarray(d_edge_grid, dtype=np.float64)
     tt, dd = np.meshgrid(theta_axis, d_edge_axis, indexing="ij")
-    states = np.column_stack(
-        [
-            (dd * width).ravel(),
-            dd.ravel(),
-            tt.ravel(),
-            np.zeros(tt.size),
-            np.full(tt.size, sigma_norm),
-            np.full(tt.size, active_frac),
-            np.full(tt.size, recent_vol),
-            (np.abs(dd.ravel()) < 1.0).astype(np.float64),
-        ]
-    )
-    q = neural.forward(net, states)
+    columns = np.zeros((tt.size, 4))
+    columns[:, 0] = tt.ravel()
+    columns[:, 2:] = sigma_norm, recent_vol
+    q = neural.forward(net, envsim.observations(1.0 + dd.ravel() * width, 1.0, width, columns, 0.5))
     diff = (q[:, 1] - q[:, 0]).reshape(tt.shape)
     return HeatmapGrid(theta_axis=theta_axis, d_edge_axis=d_edge_axis, q_diff=diff)
 

@@ -26,10 +26,8 @@ import numpy as np
 from . import agent as agent_mod
 from . import backtest as backtest_mod
 from . import config as config_mod
+from . import THREAD_ENV as _THREAD_ENV
 from . import artifacts, envsim, marketdata, neural, qvi, regime, strategies, synthpath
-
-# BLAS and OpenMP thread counts, which set the speed of every matmul
-_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,15 +268,14 @@ def cmd_heatmap(args, doc, seed, cfg_hash, out_dir):
     theta_axis = np.linspace(*config_mod.heatmap_theta_range(doc), h.get("theta_points", 41))
     d_edge_axis = np.linspace(-1.0, 1.0, h.get("d_edge_points", 41))
     pool = config_mod.pool_config(doc)
-    ok = features.valid
-    sigma_ref = float(np.median(features.sigma[ok] / features.series.close[ok])) if ok.any() else 0.0
+    columns, ok = features.bar_columns, features.valid
     grid = backtest_mod.heatmap(
         net,
         theta_axis,
         d_edge_axis,
         width=pool.width,
-        sigma_norm=min(sigma_ref, envsim.SIGMA_NORM_CLIP),
-        recent_vol=min(float(np.median(features.recent_vol)), envsim.RECENT_VOL_CLIP),
+        sigma_norm=float(np.median(columns[ok, 2])) if ok.any() else 0.0,
+        recent_vol=float(np.median(columns[:, 3])),
     )
     out = os.path.join(out_dir, "heatmap.csv")
     backtest_mod.write_heatmap_csv(out, grid)

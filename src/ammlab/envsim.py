@@ -13,7 +13,8 @@ The reward is scaled net PnL plus a small in-range bonus:
 
 Regime estimates and realized volatility are functions of the price
 series alone, so a FeatureTrack precomputes them for the whole series up
-front and build_state reads them by bar index. write_trace_csv writes the
+front and build_state reads them by bar index; observations builds the
+same rows for many prices on one band at once. write_trace_csv writes the
 per-bar trace that backtest.run returns, the only code that records one.
 """
 
@@ -72,6 +73,26 @@ def build_state(pos: Position, features: FeatureTrack, i: int) -> np.ndarray:
     )
 
 
+def observations(s, center: float, width: float, columns, active_frac) -> np.ndarray:
+    """build_state's rows at prices s for a position on the band (center, width).
+
+    `columns` holds each row's position-free entries in the layout of
+    FeatureTrack.bar_columns; `active_frac` is the position's active
+    fraction, one for every row or one per row.
+    """
+    rows = np.empty((len(s), STATE_DIM))
+    np.divide(s, center, out=rows[:, 0])
+    rows[:, 0] -= 1.0
+    # clipping at nonzero bounds keeps NaN and -0.0 as Python's min and max do
+    np.clip((s - center) / (center * width), -1.0, 1.0, out=rows[:, 1])
+    rows[:, 2:5] = columns[:, :3]
+    rows[:, 5] = active_frac
+    rows[:, 6] = columns[:, 3]
+    lower, upper = ammcore.band(center, width)
+    rows[:, 7] = (lower <= s) & (s <= upper)
+    return rows
+
+
 def hold_states(pos: Position, features: FeatureTrack, start: int, stop: int) -> np.ndarray:
     """build_state's rows for bars start..stop-1 if pos is held over them.
 
@@ -80,25 +101,15 @@ def hold_states(pos: Position, features: FeatureTrack, start: int, stop: int) ->
     fee_step has accrued the bars before it.
     """
     s = features.series.close[start:stop]
-    k = len(s)
-    rows = np.empty((k, STATE_DIM))
-    rows[:, 2:5] = features.bar_columns[start:stop, :3]
-    rows[:, 6] = features.bar_columns[start:stop, 3]
-    np.divide(s, pos.center, out=rows[:, 0])
-    rows[:, 0] -= 1.0
-    # clipping at nonzero bounds keeps NaN and -0.0 as Python's min and max do
-    np.clip((s - pos.center) / (pos.center * pos.width), -1.0, 1.0, out=rows[:, 1])
     inside = ammcore.in_band(pos, s)
-    rows[:, 7] = inside
     # active_fraction before each bar, the int counts divided as Python divides ints
     active = np.cumsum(inside)
     active -= inside
     active += pos.active_seconds
-    total = np.arange(pos.total_seconds, pos.total_seconds + k)
-    if pos.total_seconds == 0 and k:
+    total = np.arange(pos.total_seconds, pos.total_seconds + len(s))
+    if pos.total_seconds == 0 and len(s):
         total[0] = 1
-    np.divide(active, total, out=rows[:, 5])
-    return rows
+    return observations(s, pos.center, pos.width, features.bar_columns[start:stop], active / total)
 
 
 def rolling_log_return_vol(closes: np.ndarray, window: int = VOL_WINDOW) -> np.ndarray:
@@ -160,7 +171,7 @@ class FeatureTrack:
         return block
 
 
-TRACE_HEADER = ["t", "price", "center", "action", "fee", "gas", "reward", "theta", "in_range"]
+TRACE_HEADER = ["t", "price", "center", "action", "fee", "gas", "theta", "in_range"]
 
 
 def write_trace_csv(path, trace) -> None:

@@ -301,32 +301,32 @@ class TestGoldenTraces:
 
     GOLDEN = {
         "merlin": (
-            "857f84112155cb4fa166b0e1c63268bb92089de16fc119de4a4aaf010fcd6fd0",
+            "869d131375187a27981abe48dc1252222324bc4eee091a827f7305d21d3860cb",
             {"active_frac": 1.0, "lambda": 8.37047891894506, "rebalances": 1,
              "fees": 2264.5599515905424, "gas": 2.0, "net_roi": 0.22625599515905423},
         ),
         "bedivere": (
-            "2f226240b49debd909b3443988796e58e3cdbbc30b820cbcbf6d3a1dae8ce8d1",
+            "847addf2fe16c92279e78cbd0016d531fc8f4e770653e4ba1d0487075ff711d6",
             {"active_frac": 0.4889, "lambda": 22.360679774997898, "rebalances": 1,
              "fees": 2958.148478489728, "gas": 2.0, "net_roi": 0.2956148478489728},
         ),
         "lancelot": (
-            "e3d514a869d2699decee8e9ca22b2e44a00ef3212fbf3d18a1bc4a5b1fe5bc45",
+            "3d681d2b22a1a6674d7022871288eeed83bed2e2d39521caae86811073b81b37",
             {"active_frac": 1.0, "lambda": 22.360679774997898, "rebalances": 298,
              "fees": 6049.486582445435, "gas": 1338.5, "net_roi": 0.47109865824454344},
         ),
         "galahad": (
-            "c18870473a5ad6371b86a13ca163179531c468a3d3ed7b74e89c7f61cd75813f",
+            "554e1276e8dac74c13abc9ac0abc4ada269e2b70c27182f282debb0e4f47e836",
             {"active_frac": 0.7856, "lambda": 22.360679774997898, "rebalances": 69,
              "fees": 4752.801999414925, "gas": 308.0, "net_roi": 0.4444801999414925},
         ),
         "galahad-theta-0.02": (
-            "2a18f5729527e3f36adf0ecbc53086f6db9c5ec9667927310d1c3f9c436aca32",
+            "7e47a56f67904d211b5f8c26ff74a52218705b77ab4d0caf15402500689573a1",
             {"active_frac": 0.6764, "lambda": 22.360679774997898, "rebalances": 63,
              "fees": 4087.562981257131, "gas": 281.0, "net_roi": 0.3806562981257131},
         ),
         "rammstein": (
-            "7be61bc5300e86e418a6724264987e252454b1e5777003de2b85d459027eb57f",
+            "f6e623524f099a7250f37e66c5228d3667279da022c8d33773017b3cf0006c1f",
             {"active_frac": 0.61, "lambda": 22.360679774997898, "rebalances": 3473,
              "fees": 3667.948190989047, "gas": 15626.0, "net_roi": -1.1958051809010952},
         ),
@@ -420,17 +420,17 @@ class TestHeatmap:
         assert np.all(grid.q_diff < 0.0)
 
     def test_state_construction_rules(self):
-        # nonconstant net: verify the grid equals per-cell manual evaluation
+        # nonconstant net: each cell is build_state's row for a position centred at 1
         net = neural.Mlp(Q_NET_DIMS, seed=5)
         thetas = [0.0, 0.05]
         edges = [-1.0, 0.0, 0.5, 1.0]
         grid = bt.heatmap(net, thetas, edges, width=0.002, sigma_norm=0.01, recent_vol=0.02)
+        pos = ammcore.Position(center=1.0, width=0.002, capital=1e4, active_seconds=1, total_seconds=2)
         for i, th in enumerate(thetas):
             for j, de in enumerate(edges):
-                state = np.array(
-                    [de * 0.002, de, th, 0.0, 0.01, 0.5, 0.02, 1.0 if abs(de) < 1.0 else 0.0]
-                )
-                q = neural.forward(net, state)
+                features = envsim.FeatureTrack(series_from_closes([1.0 + de * 0.002]))
+                features.bar_columns = np.array([[th, 0.0, 0.01, 0.02]])
+                q = neural.forward(net, envsim.build_state(pos, features, 0))
                 assert grid.q_diff[i, j] == pytest.approx(q[1] - q[0], abs=1e-12)
 
     def test_csv_export(self, tmp_path):
@@ -505,7 +505,6 @@ def per_bar_run(strategy, series, cfg, features):
         "action": action,
         "fee": fee,
         "gas": gas,
-        "reward": np.zeros(n),
         "theta": np.where(features.valid, features.theta, 0.0),
         "in_range": in_range,
     }

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ammlab import artifacts, cli, config as config_mod, neural, qvi, regime, strategies, synthpath
+from ammlab import artifacts, cli, config as config_mod, envsim, neural, qvi, regime, strategies, synthpath
 from ammlab.agent import Q_NET_DIMS
 
 
@@ -465,6 +465,30 @@ class TestPipeline:
         rows = (out2 / "heatmap.csv").read_text().splitlines()
         assert len(rows) == 1 + 3 * 3
 
+    def test_heatmap_reference_values(self, tmp_path, monkeypatch):
+        """sigma_norm and recent_vol are the clipped run medians, sigma over valid bars only."""
+        smoke = Path(__file__).parent.parent / "configs" / "smoke.json"
+        ckpt = tmp_path / "policy.json"
+        neural.save_checkpoint(ckpt, neural.Mlp(Q_NET_DIMS, seed=0))
+        passed = {}
+        heatmap = cli.backtest_mod.heatmap
+
+        def recorded(*args, **kwargs):
+            passed.update(kwargs)
+            return heatmap(*args, **kwargs)
+
+        monkeypatch.setattr(cli.backtest_mod, "heatmap", recorded)
+        out = tmp_path / "hm"
+        assert cli.main(["heatmap", "--config", str(smoke), "--out", str(out), "--checkpoint", str(ckpt)]) == 0
+        doc = config_mod.load(smoke)
+        series = synthpath.simulate_schedule(config_mod.schedule(doc), doc["seed"])
+        features = envsim.FeatureTrack(series, config_mod.estimate_window(doc))
+        ok = features.valid
+        sigma_ref = min(float(np.median(features.sigma[ok] / series.close[ok])), envsim.SIGMA_NORM_CLIP)
+        vol_ref = min(float(np.median(features.recent_vol)), envsim.RECENT_VOL_CLIP)
+        assert passed["sigma_norm"].hex() == sigma_ref.hex()
+        assert passed["recent_vol"].hex() == vol_ref.hex()
+
 
 BAD_STRATEGY_SPECS = [
     {"name": "galahad", "params": {"horizn": 5}},
@@ -823,6 +847,17 @@ def test_cli_import_loads_no_jsonschema():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_import_pins_blas_threads():
+    """Importing ammlab sets each unset thread variable to 1 and keeps a set one."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_ENV}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), OMP_NUM_THREADS="3")
+    probe = "import os, ammlab; print([os.environ[var] for var in ammlab.THREAD_ENV])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(["3" if var == "OMP_NUM_THREADS" else "1" for var in cli._THREAD_ENV])
 
 
 class TestDeterminism:

@@ -128,6 +128,29 @@ class TestBuildStateMatchesReference:
         assert got.tobytes() == expected.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data())
+def test_observations_match_build_state(data):
+    center = data.draw(finite(1.0, 1e4))
+    width = data.draw(finite(1e-4, 0.05))
+    lower, upper = ammcore.band(center, width)
+    offsets = data.draw(hst.lists(finite(-3.0, 3.0), max_size=6))
+    # each band edge, and one ulp either side of it
+    edges = [np.nextafter(edge, toward) for edge in (lower, upper) for toward in (0.0, edge, np.inf)]
+    s = np.array([center * (1.0 + u * width) for u in offsets] + edges)
+    columns = np.array(data.draw(hst.lists(hst.tuples(*[finite(-1e3, 1e3)] * 4), min_size=len(s), max_size=len(s))))
+    total = data.draw(hst.integers(0, 10**9))
+    pos = ammcore.Position(
+        center=center, width=width, capital=1e4, active_seconds=data.draw(hst.integers(0, total)), total_seconds=total
+    )
+    features = envsim.FeatureTrack(series_from_closes(s))
+    features.bar_columns = columns
+    rows = envsim.observations(s, center, width, columns, ammcore.active_fraction(pos))
+    assert rows.shape == (len(s), envsim.STATE_DIM)
+    for i in range(len(s)):
+        assert np.array_equal(rows[i].view(np.int64), envsim.build_state(pos, features, i).view(np.int64)), i
+
+
 class TestStep:
     def test_hold_out_of_range_zero_reward(self):
         closes = [100.0] + [150.0] * 30  # jumps away immediately, never returns
@@ -312,14 +335,14 @@ class TestRollingVol:
         features.valid[4] = True
         _, trace = backtest.run(strategies.Bedivere(), series, POOL, features=features)
         assert list(trace) == envsim.TRACE_HEADER
-        assert [trace[k][5].item() for k in envsim.TRACE_HEADER] == [5, 100.5, 100.0, 0, 0.0, 0.0, 0.0, 0.0, 0]
+        assert [trace[k][5].item() for k in envsim.TRACE_HEADER] == [5, 100.5, 100.0, 0, 0.0, 0.0, 0.0, 0]
         assert trace["theta"].tolist() == [0.0, 0.0, 0.0, 0.0, 0.05, 0.0]
         assert trace["in_range"].tolist() == [1, 1, 1, 1, 1, 0]
 
     def test_trace_csv_round_trip(self, tmp_path):
-        row = (0, 100.0, 100.0, 0, 0.1, 0.0, 0.001, 0.05, 1)
+        row = (0, 100.0, 100.0, 0, 0.1, 0.0, 0.05, 1)
         path = tmp_path / "trace.csv"
         envsim.write_trace_csv(path, {k: np.array([v]) for k, v in zip(envsim.TRACE_HEADER, row)})
         text = path.read_text().splitlines()
-        assert text[0] == "t,price,center,action,fee,gas,reward,theta,in_range"
+        assert text[0] == "t,price,center,action,fee,gas,theta,in_range"
         assert len(text) == 2
