@@ -113,15 +113,17 @@ def fee_step(pos: Position, s: float, cex_volume: float, cfg: PoolConfig) -> flo
     if not in_range(pos, s):
         return 0.0
     pos.active_seconds += 1
-    fee = _fee(pos, cex_volume, cfg)
+    fee = fee_rate(cfg, cex_volume, pos.width, pos.capital)
     pos.accrued_fees += fee
     return fee
 
 
-def _fee(pos: Position, cex_volume, cfg: PoolConfig):
-    """What one in-range second earns at `cex_volume`, a float or an array of them."""
-    lam = concentration(pos.width)
-    return cfg.dex_cex_ratio * cex_volume * cfg.fee_tier * (pos.capital * lam) / cfg.pool_tvl
+def fee_rate(cfg: PoolConfig, cex_volume, width: float, capital: float):
+    """What one in-range second of `capital` on a band of half-width `width`
+    earns at `cex_volume`, a float or an array of them; the QVI's running
+    reward is this rate too."""
+    lam = concentration(width)
+    return cfg.dex_cex_ratio * cex_volume * cfg.fee_tier * (capital * lam) / cfg.pool_tvl
 
 
 def hold(pos: Position, prices: np.ndarray, volumes: np.ndarray, cfg: PoolConfig):
@@ -142,7 +144,7 @@ def hold(pos: Position, prices: np.ndarray, volumes: np.ndarray, cfg: PoolConfig
     if earning:
         running = np.empty(earning + 1)
         running[0] = pos.accrued_fees
-        running[1:] = _fee(pos, volumes[inside], cfg)
+        running[1:] = fee_rate(cfg, volumes[inside], pos.width, pos.capital)
         fee[inside] = running[1:]
         np.add.accumulate(running, out=running)
         pos.accrued_fees = float(running[-1])

@@ -172,6 +172,8 @@ def gas_sweep(
     if any(g <= 0 for g in gas_levels):
         raise ValueError("gas levels must be positive")
     gas_levels = sorted(float(g) for g in gas_levels)
+    if len(gas_levels) < 2:
+        raise ValueError("gas sweep needs at least two gas levels")
     if len(set(gas_levels)) < len(gas_levels):
         raise ValueError("gas levels must be distinct")
     names = [s.name for s in strategies]

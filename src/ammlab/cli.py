@@ -43,7 +43,7 @@ def _build_parser() -> _Parser:
     flags = {
         "--strategy": dict(choices=config_mod.STRATEGY_NAMES, help="strategy name override"),
         "--checkpoint": dict(help="policy checkpoint path"),
-        "--profile": dict(choices=["smoke", "full"], help="training profile"),
+        "--profile": dict(choices=list(config_mod.PROFILES), help="training profile"),
     }
     for name, help_text, own_flags in [
         ("ingest", "aggregate a trade CSV into 1 Hz bars", []),
@@ -83,7 +83,10 @@ def _segment(doc, seed, name):
     if splits is None or name == "all":
         return series
     train, val, test = marketdata.split(series, tuple(splits))
-    return {"train": train, "val": val, "test": test}[name]
+    segment = {"train": train, "val": val, "test": test}[name]
+    if len(segment) == 0:
+        raise config_mod.ConfigError(f"segment {name!r} is empty: data.splits {splits} of a {len(series)}-bar series")
+    return segment
 
 
 def _features(series, doc):
@@ -200,11 +203,11 @@ def cmd_backtest(args, doc, seed, cfg_hash, out_dir):
 def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
     sweep = doc.get("sweep", {})
     specs = sweep.get("strategies") or [doc.get("strategy", {"name": "lancelot"})]
-    levels = sweep.get("gas_levels", [1.0, 2.0, 5.0, 10.0, 20.0, 50.0])
+    levels = {"gas_levels": sweep["gas_levels"]} if "gas_levels" in sweep else {}
     built = [_strategy(s, args.checkpoint) for s in specs]
     series = _segment(doc, seed, doc.get("backtest", {}).get("segment", "test"))
     rows, break_evens = backtest_mod.gas_sweep(
-        built, series, levels, config_mod.pool_config(doc), _features(series, doc)
+        built, series, cfg=config_mod.pool_config(doc), features=_features(series, doc), **levels
     )
 
     sweep_path = os.path.join(out_dir, "gas_sweep.csv")

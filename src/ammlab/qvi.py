@@ -109,14 +109,7 @@ class QviProblem:
 
     def fee_rate(self) -> float:
         """In-range fee per second at the reference volume."""
-        lam = ammcore.concentration(self.pool.width)
-        return (
-            self.pool.dex_cex_ratio
-            * self.ref_volume
-            * self.pool.fee_tier
-            * (self.pool.capital * lam)
-            / self.pool.pool_tvl
-        )
+        return ammcore.fee_rate(self.pool, self.ref_volume, self.pool.width, self.pool.capital)
 
     def cost_value(self) -> float:
         if self.cost is not None:

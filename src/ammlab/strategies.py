@@ -15,7 +15,6 @@ runner's and change only how fast the answer comes.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -26,7 +25,6 @@ from .errors import ShapeError
 from .marketdata import BarSeries
 
 MERLIN_MIN_WIDTH = 1e-4
-POLICY_MIN_BATCH = 4  # a shorter policy window is decided bar by bar
 
 
 class Strategy:
@@ -198,29 +196,19 @@ class PolicyStrategy(Strategy):
         return price if int(q.argmax()) == 1 else None
 
     def first_recenter(self, lo, hi, pos, features):
-        """One batched forward over the window's hold-path observation rows.
+        """decide itself for a one-bar window; one batched forward over the
+        hold-path observation rows of a longer one.
 
         A batch runs through other matmul kernels than decide's one-row
         forward, so its last bits differ. A row decides from the batch only
         when its margin q1 - q0 clears _margin_bound, which is then the
         one-row forward's sign too; every other row, a NaN margin included,
-        is decided by the one-row forward itself. A window shorter than
-        POLICY_MIN_BATCH is decided bar by bar, so a policy that acts on
-        nearly every bar, and gets one-bar windows, costs about what the
-        per-bar loop does.
+        is decided by the one-row forward itself.
         """
         close = features.series.close
-        if hi - lo < POLICY_MIN_BATCH:
-            probe = pos
-            for i in range(lo, hi):
-                price = float(close[i])
-                target = self.decide(i, price, probe, features)
-                if target is not None:
-                    return i, target
-                probe = copy.copy(probe)
-                probe.total_seconds += 1
-                probe.active_seconds += ammcore.in_range(probe, price)
-            return None
+        if hi == lo + 1:  # pos stands as before bar lo, so decide needs nothing held
+            target = self.decide(lo, float(close[lo]), pos, features)
+            return None if target is None else (lo, target)
         rows = envsim.hold_states(pos, features, lo, hi)
         q = neural.forward(self.net, rows)
         margin = q[:, 1] - q[:, 0]

@@ -163,6 +163,8 @@ class TestGasSweep:
     def test_levels_validated(self):
         with pytest.raises(ValueError):
             bt.gas_sweep([st.Lancelot()], wandering_series(5, n=100), (0.0, 1.0), POOL)
+        with pytest.raises(ValueError, match="two gas levels"):
+            bt.gas_sweep([st.Lancelot()], wandering_series(5, n=100), (2.0,), POOL)
 
     def test_repeated_level_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -559,9 +561,21 @@ def nan_net(seed, layer, column):
     return net
 
 
+def out_of_band_net():
+    """A net that recenters exactly when the in_range feature is 0: q0 is
+    0.5 and q1 is relu(relu(1 - in_range)), so every margin is +-0.5."""
+    net = constant_policy_net(0.5, 0.0)
+    net.weights[0][7, 0] = -1.0
+    net.biases[0][0] = 1.0
+    net.weights[1][0, 0] = 1.0
+    net.weights[2][0, 1] = 1.0
+    return net
+
+
 DIFFERENTIAL = {
     **TestGoldenTraces.STRATEGIES,
     "recenters-every-bar": st.PolicyStrategy(constant_policy_net(-1.0, 0.0)),
+    "recenters-out-of-band": st.PolicyStrategy(out_of_band_net()),
     "equal-outputs": st.PolicyStrategy(tied_net(3, 0)),
     "one-ulp-apart": st.PolicyStrategy(tied_net(4, 1)),
     "twin-outputs": st.PolicyStrategy(twin_net(8)),
@@ -606,6 +620,26 @@ class TestMatchesPerBarRun:
         features, cfg = envsim.FeatureTrack(series), config.pool_config(doc)
         strategy = DIFFERENTIAL[name]
         assert_same_run(bt.run(strategy, series, cfg, features), per_bar_run(strategy, series, cfg, features))
+
+
+def test_out_of_band_policy_meets_short_windows(monkeypatch):
+    """The net that recenters on exit, lancelot's rule, is searched in
+    one-bar, two-bar and longer windows, and matches the per-bar loop."""
+    strategy = DIFFERENTIAL["recenters-out-of-band"]
+    sizes = []
+    search = strategy.first_recenter
+
+    def counted(lo, hi, pos, features):
+        sizes.append(hi - lo)
+        return search(lo, hi, pos, features)
+
+    monkeypatch.setattr(strategy, "first_recenter", counted)
+    series = ou_series(1, 400, 0.01, 0.2)
+    features = envsim.FeatureTrack(series, window=30)
+    assert_same_run(bt.run(strategy, series, POOL, features), per_bar_run(strategy, series, POOL, features))
+    assert {1, 2} <= set(sizes) and max(sizes) >= 4
+    lancelot, _ = bt.run(st.Lancelot(), series, POOL, features)
+    assert bt.run(strategy, series, POOL, features)[0].metrics() == lancelot.metrics()
 
 
 window_sizes = hst.sampled_from([1, 2, 7, 512, None])  # None: the series' length

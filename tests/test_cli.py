@@ -229,6 +229,16 @@ class TestValidation:
         assert cli.main(["backtest", "--config", cfg, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["backtest", "sweep-gas"])
+    def test_empty_segment_exits_one(self, tmp_path, capsys, command):
+        doc = base_config(backtest={"segment": "val"})
+        doc["data"]["synth"]["segments"] = [{"duration": 10, "theta": 0.02, "mu": 100.0, "sigma": 0.05}]
+        doc["data"]["splits"] = [0.9, 0.05, 0.05]
+        out = tmp_path / "bt"
+        assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "segment 'val' is empty: data.splits [0.9, 0.05, 0.05] of a 10-bar series" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "backtest, splits, bars",
         [(None, None, 800), ({"segment": "all"}, None, 800), ({"segment": "val"}, [0.5, 0.25, 0.25], 200)],

@@ -179,6 +179,13 @@ class TestProblemValidation:
         problem = qvi.QviProblem(ou=OU_REF, pool=POOL, s_grid=S_GRID, c_grid=C_GRID, ref_volume=100_000.0)
         assert problem.fee_rate() == pytest.approx(2.236, abs=5e-4)
 
+    def test_fee_rate_is_what_a_held_second_accrues(self):
+        problem = qvi.QviProblem(ou=OU_REF, pool=POOL, s_grid=S_GRID, c_grid=C_GRID, ref_volume=100_000.0)
+        pos = ammcore.open_position(100.0, problem.pool)
+        fee, inside = ammcore.hold(pos, np.array([100.0]), np.array([problem.ref_volume]), problem.pool)
+        assert inside[0]
+        assert problem.fee_rate() == fee[0] == pos.accrued_fees
+
 
 @settings(max_examples=100, deadline=None)
 @given(

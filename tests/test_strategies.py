@@ -197,10 +197,35 @@ class TestPolicySearchCost:
         assert len(forwards) <= n + 2
         assert forwards.count(0) >= n - 2  # one bar at a time after the first recenter
 
+    def test_window_costs_by_length(self, forwards, monkeypatch):
+        # recenters exactly when in_range is 0; its margins are +-0.5, so every batched row is certified
+        net = constant_policy_net(0.5, 0.0)
+        net.weights[0][7, 0] = -1.0
+        net.biases[0][0] = 1.0
+        net.weights[1][0, 0] = 1.0
+        net.weights[2][0, 1] = 1.0
+        strategy = st.PolicyStrategy(net)
+        windows = []  # (bars, the forwards its search made)
+        search = strategy.first_recenter
 
-def wandering(n):
+        def counted(lo, hi, pos, features):
+            before = len(forwards)
+            found = search(lo, hi, pos, features)
+            windows.append((hi - lo, forwards[before:]))
+            return found
+
+        monkeypatch.setattr(strategy, "first_recenter", counted)
+        report, _ = backtest.run(strategy, wandering(3000, sigma=0.2), POOL)
+        assert report.rebalance_count > 100
+        sizes = {bars for bars, _ in windows}
+        assert {1, 2} <= sizes and max(sizes) >= 4
+        for bars, made in windows:
+            assert made == ([0] if bars == 1 else [bars]), bars
+
+
+def wandering(n, sigma=0.05):
     sched = RegimeSchedule(
-        segments=((n, OuParams(0.01, 100.0, 0.05)),),
+        segments=((n, OuParams(0.01, 100.0, sigma)),),
         initial_price=100.0,
         volume_model=VolumeModel(1000.0, 1.0),
     )
