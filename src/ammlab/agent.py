@@ -13,7 +13,7 @@ counted across episode boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,28 +65,6 @@ class ReplayBuffer:
         return tuple(col.take(idx, axis=0, out=o, mode="clip") for col, o in zip(columns, out or (None,) * 5))
 
 
-@dataclass
-class EpsilonSchedule:
-    start: float = 1.0
-    end: float = 0.05
-    decay: float = 0.9998
-    mode: str = "step"  # "step" or "episode"
-    current: float = field(init=False)
-
-    def __post_init__(self):
-        if self.mode not in ("step", "episode"):
-            raise ValueError("mode must be 'step' or 'episode'")
-        self.current = self.start
-
-    def on_step(self) -> None:
-        if self.mode == "step":
-            self.current = max(self.end, self.current * self.decay)
-
-    def on_episode_end(self) -> None:
-        if self.mode == "episode":
-            self.current = max(self.end, self.current * self.decay)
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     gamma: float = 0.99
@@ -108,6 +86,8 @@ class TrainConfig:
         for name in ("batch_size", "target_sync", "episodes", "episode_length", "buffer_capacity"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.epsilon_decay_mode not in ("step", "episode"):
+            raise ValueError("epsilon_decay_mode must be 'step' or 'episode'")
 
 
 def select_action(net: Mlp, state, epsilon: float, rng: np.random.Generator) -> int:
@@ -199,14 +179,11 @@ def train(env: LpEnv, config: TrainConfig):
     streams, so identical (data, config) runs produce identical nets.
     """
     env.episode_length = config.episode_length
-    if env.max_start() < 0:
-        raise ValueError("training series shorter than one episode")
     env_ss, agent_ss = np.random.SeedSequence(config.seed).spawn(2)
     env.rng = np.random.default_rng(env_ss)
     agent = DdqnAgent(config, rng=np.random.default_rng(agent_ss))
-    eps = EpsilonSchedule(
-        config.epsilon_start, config.epsilon_end, config.epsilon_decay, config.epsilon_decay_mode
-    )
+    epsilon = config.epsilon_start
+    step_decay = config.epsilon_decay_mode == "step"
 
     log_rows = []
     for episode in range(1, config.episodes + 1):
@@ -215,23 +192,25 @@ def train(env: LpEnv, config: TrainConfig):
         losses = []
         rebalances = 0
         while True:
-            action = select_action(agent.online, state, eps.current, agent.rng)
+            action = select_action(agent.online, state, epsilon, agent.rng)
             next_state, reward, terminal = env.step(action)
             agent.buffer.push(state, action, reward, next_state, terminal)
             if len(agent.buffer) >= config.batch_size:
                 losses.append(agent.train_step())
-            eps.on_step()
+            if step_decay:
+                epsilon = max(config.epsilon_end, epsilon * config.epsilon_decay)
             ep_return += reward
             rebalances += action
             state = next_state
             if terminal:
                 break
-        eps.on_episode_end()
+        if not step_decay:
+            epsilon = max(config.epsilon_end, epsilon * config.epsilon_decay)
         log_rows.append(
             (
                 episode,
                 ep_return,
-                eps.current,
+                epsilon,
                 float(np.mean(losses)) if losses else 0.0,
                 rebalances,
                 ammcore.active_fraction(env.pos),

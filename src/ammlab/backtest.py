@@ -65,7 +65,6 @@ def run(
     series: BarSeries,
     cfg: PoolConfig | None = None,
     features: FeatureTrack | None = None,
-    config_hash: str = "",
 ):
     """Backtest one strategy over one series; returns (report, trace).
 
@@ -117,7 +116,6 @@ def run(
         total_fees=pos.accrued_fees,
         total_gas=pos.accrued_gas,
         net_roi=ammcore.net_roi(pos),
-        config_hash=config_hash,
     )
     trace = {
         "t": series.t,

@@ -37,6 +37,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ammlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -58,7 +65,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="run-config JSON path")
         p.add_argument("--out", required=True, help="output directory (all writes go here)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the config seed (>= 0)")
         for flag in own_flags:
             p.add_argument(flag, **flags[flag])
     return parser
@@ -93,6 +100,12 @@ def _features(series, doc):
     return envsim.FeatureTrack(series, config_mod.estimate_window(doc))
 
 
+def _backtest_segment(doc, seed):
+    """The backtest.segment of the configured series and its features."""
+    series = _segment(doc, seed, doc.get("backtest", {}).get("segment", "test"))
+    return series, _features(series, doc)
+
+
 def _write_manifest(out_dir, command, cfg_hash, seed, outputs, started):
     """Write manifest.json: what ran, what it wrote, and where the time went.
 
@@ -113,6 +126,9 @@ def _write_manifest(out_dir, command, cfg_hash, seed, outputs, started):
     }
     artifacts.write_json(path, doc)
     return path
+
+
+_DEFAULT_STRATEGY = {"name": "lancelot"}
 
 
 def _strategy(spec, checkpoint):
@@ -142,7 +158,7 @@ def cmd_synth(args, doc, seed, cfg_hash, out_dir):
 
 def cmd_estimate(args, doc, seed, cfg_hash, out_dir):
     series = _load_series(doc, seed)
-    theta, mu, sigma, valid = regime.rolling_estimates(series.close, 1.0, config_mod.estimate_window(doc))
+    theta, mu, sigma, valid = regime.rolling_estimates(series.close, config_mod.estimate_window(doc))
     # rolling_estimates clips theta to >= 0, so only theta == 0 and invalid entries are inf
     with np.errstate(divide="ignore", over="ignore"):
         half_life = np.where(valid & (theta > 0), math.log(2.0) / theta, math.inf)
@@ -164,7 +180,6 @@ def cmd_train(args, doc, seed, cfg_hash, out_dir):
         series,
         config_mod.pool_config(doc),
         config_mod.reward_params(doc),
-        episode_length=tc.episode_length,
         features=_features(series, doc),
     )
     agent, log_rows = agent_mod.train(env, tc)
@@ -180,21 +195,15 @@ def cmd_train(args, doc, seed, cfg_hash, out_dir):
 
 
 def cmd_backtest(args, doc, seed, cfg_hash, out_dir):
-    spec = doc.get("strategy", {"name": "lancelot"})
+    spec = doc.get("strategy", _DEFAULT_STRATEGY)
     if args.strategy not in (None, spec["name"]):
         spec = {"name": args.strategy}  # the config's params belong to its own strategy
     strategy = _strategy(spec, args.checkpoint)
-    series = _segment(doc, seed, doc.get("backtest", {}).get("segment", "test"))
-    report, trace = backtest_mod.run(
-        strategy,
-        series,
-        config_mod.pool_config(doc),
-        features=_features(series, doc),
-        config_hash=cfg_hash,
-    )
+    series, features = _backtest_segment(doc, seed)
+    report, trace = backtest_mod.run(strategy, series, config_mod.pool_config(doc), features=features)
     trace_path = os.path.join(out_dir, "trace.csv")
     envsim.write_trace_csv(trace_path, trace)
-    report = dataclasses.replace(report, trace_path=trace_path)
+    report = dataclasses.replace(report, config_hash=cfg_hash, trace_path=trace_path)
     report_path = os.path.join(out_dir, "report.json")
     backtest_mod.write_report_json(report_path, report)
     return [report_path, trace_path]
@@ -202,13 +211,12 @@ def cmd_backtest(args, doc, seed, cfg_hash, out_dir):
 
 def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
     sweep = doc.get("sweep", {})
-    specs = sweep.get("strategies") or [doc.get("strategy", {"name": "lancelot"})]
+    specs = sweep.get("strategies") or [doc.get("strategy", _DEFAULT_STRATEGY)]
     levels = {"gas_levels": sweep["gas_levels"]} if "gas_levels" in sweep else {}
     built = [_strategy(s, args.checkpoint) for s in specs]
-    series = _segment(doc, seed, doc.get("backtest", {}).get("segment", "test"))
-    rows, break_evens = backtest_mod.gas_sweep(
-        built, series, cfg=config_mod.pool_config(doc), features=_features(series, doc), **levels
-    )
+    series, features = _backtest_segment(doc, seed)
+    pool = config_mod.pool_config(doc)
+    rows, break_evens = backtest_mod.gas_sweep(built, series, cfg=pool, features=features, **levels)
 
     sweep_path = os.path.join(out_dir, "gas_sweep.csv")
     backtest_mod.write_gas_sweep_csv(sweep_path, rows)

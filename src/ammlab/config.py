@@ -397,15 +397,11 @@ def schedule(doc: dict) -> RegimeSchedule:
     sy = doc.get("data", {}).get("synth")
     if sy is None:
         raise ConfigError("config has no data.synth section")
-    vm = sy.get("volume", {})
     return RegimeSchedule(
         segments=tuple(
             (int(seg["duration"]), OuParams(seg["theta"], seg["mu"], seg["sigma"]))
             for seg in sy["segments"]
         ),
         initial_price=sy["initial_price"],
-        volume_model=VolumeModel(
-            base_notional=vm.get("base_notional", 15_000.0),
-            volatility_coupling=vm.get("volatility_coupling", 1.0),
-        ),
+        volume_model=VolumeModel(**{"base_notional": 15_000.0, **sy.get("volume", {})}),
     )

@@ -144,7 +144,7 @@ class FeatureTrack:
 
     def __init__(self, series: BarSeries, window: int = regime.DEFAULT_WINDOW):
         self.series = series
-        self.theta, self.mu, self.sigma, self.valid = regime.rolling_estimates(series.close, 1.0, window)
+        self.theta, self.mu, self.sigma, self.valid = regime.rolling_estimates(series.close, window)
         self.recent_vol = rolling_log_return_vol(series.close)
 
     @functools.cached_property

@@ -13,10 +13,6 @@ class UnsortedInput(AmmLabError):
     """Rows out of order: trade timestamps decrease or bar seconds are not consecutive."""
 
 
-class InsufficientData(AmmLabError):
-    """Not enough rows to perform the requested operation."""
-
-
 class WindowTooShort(AmmLabError):
     """Estimation window shorter than the required minimum."""
 

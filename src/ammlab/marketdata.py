@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import artifacts
-from .errors import DomainError, EmptyData, InsufficientData, UnsortedInput
+from .errors import DomainError, EmptyData, UnsortedInput
 
 
 @dataclass(frozen=True)
@@ -116,15 +116,13 @@ def aggregate(ts_ms: np.ndarray, price: np.ndarray, size: np.ndarray) -> BarSeri
 
 
 def split(series: BarSeries, fractions: tuple[float, float, float]) -> tuple[BarSeries, BarSeries, BarSeries]:
-    """Chronological (train, validation, test) segments of a series."""
+    """Chronological (train, validation, test) segments; a short series can leave one empty."""
     f_train, f_val, f_test = fractions
     if min(f_train, f_val, f_test) <= 0:
         raise ValueError("split fractions must be positive")
     if abs(f_train + f_val + f_test - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
     n = len(series)
-    if n < 3:
-        raise InsufficientData(f"need at least 3 bars to split, got {n}")
     i = int(np.floor(n * f_train))
     j = int(np.floor(n * (f_train + f_val)))
     return series.slice(0, i), series.slice(i, j), series.slice(j, n)

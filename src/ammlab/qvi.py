@@ -312,9 +312,10 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
     Starts from the no-intervention value and repeatedly re-solves every
     c-slice against the obstacle psi(S) = V(S,S) - C from the previous
     iterate. Values increase monotonically toward the fixed point;
-    convergence is declared when the sup-norm change drops below tol.
-    Hitting max_iters, or any inner obstacle solve stopping before its
-    active set settled, returns the last iterate flagged converged=False.
+    convergence is declared when the sup-norm change drops below tol and
+    the last inner obstacle solve settled its active set. Hitting
+    max_iters, or a last inner solve cut short, returns the last iterate
+    flagged converged=False.
     """
     s, lower, diag, upper = _operator(problem)
     c = problem.c_grid.points()
@@ -342,7 +343,7 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
         if sup_change < tol:
             break
 
-    converged = sup_change < tol and all_settled
+    converged = sup_change < tol and settled
     psi = _diagonal_values(V, s, c) - C
     label_tol = max(tol, 1e-9 * float(np.max(np.abs(V))) if V.size else tol)
     jump = (V - psi[:, None]) <= label_tol

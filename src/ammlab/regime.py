@@ -4,11 +4,11 @@ The estimator regresses one-second price changes on price levels,
 
     S_{t+1} - S_t = alpha + beta * S_t + eps_t,
 
-and recovers theta = -beta/dt (clipped to [0, 1]), mu = -alpha/beta and
-sigma = std(residuals)/sqrt(dt). Windows that cannot support the
-regression (constant prices, non-negative beta) produce a flagged
-fallback estimate instead of an error, because the consumers must always
-receive a usable value.
+and recovers theta = -beta (clipped to [0, 1]), mu = -alpha/beta and
+sigma = std(residuals). Bars are 1 Hz, so theta and sigma are per second.
+Windows that cannot support the regression (constant prices,
+non-negative beta) produce a flagged fallback estimate instead of an
+error, because the consumers must always receive a usable value.
 
 All sums are taken on offset prices (first price subtracted) so that the
 estimates are insensitive to the absolute price level.
@@ -54,13 +54,11 @@ def _fallback(current_price: float) -> RegimeEstimate:
     return RegimeEstimate(theta=0.0, mu=float(current_price), sigma=0.0, valid=False)
 
 
-def estimate(prices, dt: float = 1.0) -> RegimeEstimate:
+def estimate(prices) -> RegimeEstimate:
     """OLS regime estimate from one window of prices (length >= 3)."""
     prices = np.asarray(prices, dtype=np.float64)
     if prices.ndim != 1 or len(prices) < 3:
         raise WindowTooShort(f"need at least 3 prices, got {prices.shape}")
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     offset = prices[0]
     p = prices - offset
     x = p[:-1]
@@ -76,15 +74,15 @@ def estimate(prices, dt: float = 1.0) -> RegimeEstimate:
     if beta >= 0.0:
         return _fallback(last)
     alpha = float(np.mean(y)) - beta * mean_x
-    theta = min(max(-beta / dt, 0.0), 1.0)
+    theta = min(max(-beta, 0.0), 1.0)
     mu = float(offset) - alpha / beta
-    sigma = float(np.std(y - alpha - beta * x)) / math.sqrt(dt)
+    sigma = float(np.std(y - alpha - beta * x))
     if not (math.isfinite(mu) and math.isfinite(sigma)):
         return _fallback(last)
     return RegimeEstimate(theta=theta, mu=mu, sigma=sigma, valid=True)
 
 
-def rolling_estimates(closes: np.ndarray, dt: float = 1.0, window: int = DEFAULT_WINDOW):
+def rolling_estimates(closes: np.ndarray, window: int = DEFAULT_WINDOW):
     """Per-bar estimates from running sums, one window per close.
 
     Entry i agrees with ``estimate`` on closes[max(0, i - window + 1) : i + 1]
@@ -139,8 +137,8 @@ def rolling_estimates(closes: np.ndarray, dt: float = 1.0, window: int = DEFAULT
 
         ok = (cnt >= 2) & (var_x > _MIN_REGRESSOR_VAR) & (beta < 0.0)
         mu_hat = offset - alpha / beta
-        sigma_hat = np.sqrt(resid_var) / math.sqrt(dt)
-        theta_hat = np.clip(-beta / dt, 0.0, 1.0)
+        sigma_hat = np.sqrt(resid_var)
+        theta_hat = np.clip(-beta, 0.0, 1.0)
         ok &= np.isfinite(mu_hat) & np.isfinite(sigma_hat)
 
         # A windowed sum is a difference of prefix sums, so its rounding
@@ -166,6 +164,6 @@ def rolling_estimates(closes: np.ndarray, dt: float = 1.0, window: int = DEFAULT
     sigma[ok] = sigma_hat[ok]
     valid[ok] = True
     for i in np.flatnonzero(refit):
-        est = estimate(closes[lo[i] : i + 1], dt)
+        est = estimate(closes[lo[i] : i + 1])
         theta[i], mu[i], sigma[i], valid[i] = est.theta, est.mu, est.sigma, est.valid
     return theta, mu, sigma, valid

@@ -173,21 +173,33 @@ class TestTrainStep:
         assert agent.online.biases[-1][0] != 0.0
 
 
-class TestEpsilonSchedule:
-    def test_step_mode_decays_to_floor(self):
-        eps = ag.EpsilonSchedule(1.0, 0.05, 0.9, "step")
-        for _ in range(100):
-            eps.on_step()
-        assert eps.current == 0.05
-        eps.on_episode_end()
-        assert eps.current == 0.05
+class TestEpsilonDecay:
+    @staticmethod
+    def logged_epsilons(**schedule):
+        cfg = ag.TrainConfig(episodes=3, episode_length=30, batch_size=8, seed=5, **schedule)
+        _, log = ag.train(tiny_env(), cfg)
+        return [row[ag.LOG_HEADER.index("epsilon")] for row in log]
 
-    def test_episode_mode(self):
-        eps = ag.EpsilonSchedule(1.0, 0.05, 0.5, "episode")
-        eps.on_step()
-        assert eps.current == 1.0
-        eps.on_episode_end()
-        assert eps.current == 0.5
+    @pytest.mark.parametrize("decay, end", [(0.99, 0.05), (0.9, 0.05)])
+    def test_step_mode_decays_every_step(self, decay, end):
+        expected, eps = [], 1.0
+        for _ in range(3):
+            for _ in range(30):
+                eps = max(end, eps * decay)
+            expected.append(eps)
+        got = self.logged_epsilons(epsilon_start=1.0, epsilon_end=end, epsilon_decay=decay)
+        assert got == expected
+        assert (got[-1] == end) == (decay == 0.9)  # 0.9**30 is below the floor
+
+    def test_episode_mode_decays_every_episode(self):
+        got = self.logged_epsilons(
+            epsilon_start=1.0, epsilon_end=0.2, epsilon_decay=0.5, epsilon_decay_mode="episode"
+        )
+        assert got == [0.5, 0.25, 0.2]
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="epsilon_decay_mode"):
+            ag.TrainConfig(epsilon_decay_mode="linear")
 
 
 def tiny_env(seed=0, n=400):

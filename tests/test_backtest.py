@@ -457,7 +457,8 @@ class TestHeatmap:
 
 class TestReports:
     def test_json_schema_fields(self, tmp_path):
-        report, _ = bt.run(st.Lancelot(), wandering_series(6, n=200), POOL, config_hash="abc123")
+        report, _ = bt.run(st.Lancelot(), wandering_series(6, n=200), POOL)
+        report = replace(report, config_hash="abc123")
         path = tmp_path / "report.json"
         bt.write_report_json(path, report)
         doc = json.loads(path.read_text())

@@ -109,6 +109,14 @@ class TestValidation:
         args = cli._build_parser().parse_args([command, "--config", "c.json", "--out", "o", flag, value])
         assert getattr(args, flag[2:]) == value
 
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_negative_seed_exits_one(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 1
+        assert not out.exists()
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_unknown_strategy_flag_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
         out = tmp_path / "bt"
@@ -240,6 +248,22 @@ class TestValidation:
         assert "segment 'val' is empty: data.splits [0.9, 0.05, 0.05] of a 10-bar series" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command, segment, code",
+        [("backtest", "test", 0), ("backtest", "val", 1), ("sweep-gas", "test", 0), ("sweep-gas", "val", 1),
+         ("train", "test", 1)],
+    )
+    def test_two_bar_series_with_splits(self, tmp_path, command, segment, code):
+        # splits of 2 bars: a 1-bar training segment, an empty val and a 1-bar test
+        doc = base_config(backtest={"segment": segment})
+        doc["data"]["synth"]["segments"] = [{"duration": 2, "theta": 0.02, "mu": 100.0, "sigma": 0.05}]
+        doc["data"]["splits"] = [0.5, 0.25, 0.25]
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        if command == "backtest" and code == 0:
+            assert len((out / "trace.csv").read_text().splitlines()) == 2  # header and the one test bar
+
+    @pytest.mark.parametrize(
         "backtest, splits, bars",
         [(None, None, 800), ({"segment": "all"}, None, 800), ({"segment": "val"}, [0.5, 0.25, 0.25], 200)],
     )
@@ -284,8 +308,8 @@ class TestPipeline:
         edge_valid = np.array([True, True, True, True, False, False, True])
         rolling = regime.rolling_estimates
 
-        def with_edges(closes, dt, window):
-            theta, mu, sigma, valid = rolling(closes, dt, window)
+        def with_edges(closes, window):
+            theta, mu, sigma, valid = rolling(closes, window)
             theta[-len(edge) :], valid[-len(edge) :] = edge, edge_valid
             return theta, mu, sigma, valid
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ammlab import artifacts, marketdata as md
-from ammlab.errors import DomainError, EmptyData, InsufficientData, UnsortedInput
+from ammlab.errors import DomainError, EmptyData, UnsortedInput
 
 
 def trades(*rows):
@@ -149,9 +149,24 @@ class TestSplit:
         with pytest.raises(ValueError):
             md.split(_flat_series(100), (0.5, 0.5, 0.1))
 
-    def test_too_few_bars(self):
-        with pytest.raises(InsufficientData):
-            md.split(_flat_series(2), (0.7, 0.15, 0.15))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=hst.integers(0, 60),
+        weights=hst.tuples(*[hst.floats(1e-3, 1.0)] * 3),
+    )
+    def test_chronological_floor_cuts(self, n, weights):
+        # any length splits, a short series into empty segments
+        fractions = tuple(w / sum(weights) for w in weights)
+        rising = np.arange(1.0, n + 1.0)
+        series = md.BarSeries(t=np.arange(n, dtype=np.int64), open=rising, high=rising + 1.0,
+                              low=rising - 0.5, close=rising + 0.5, volume=rising * 2.0)
+        segments = md.split(series, fractions)
+        i = math.floor(n * fractions[0])
+        j = math.floor(n * (fractions[0] + fractions[1]))
+        assert [len(seg) for seg in segments] == [i, j - i, n - j]
+        for column in ("t", "open", "high", "low", "close", "volume"):
+            joined = np.concatenate([getattr(seg, column) for seg in segments])
+            assert np.array_equal(joined, getattr(series, column)), column
 
     def test_segments_partition(self):
         series = _flat_series(47)

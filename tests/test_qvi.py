@@ -148,6 +148,23 @@ class TestConvergenceReport:
         assert sol.converged is False
         assert sol.policy_iterations == [1] * sol.iterations
 
+    def test_early_capped_inner_solve_still_converges(self, monkeypatch):
+        # only the first obstacle solve is cut short; later passes settle
+        # and reach the uncapped fixed point, so the solve has converged
+        problem = qvi.QviProblem.default(OU_REF, POOL, n_s=80, n_c=10)
+        reference = qvi.solve(problem)
+        solve_obstacle, calls = qvi._solve_obstacle, []
+
+        def first_capped(*args):
+            calls.append(None)
+            return solve_obstacle(*args, **({"max_policy_iters": 2} if len(calls) == 1 else {}))
+
+        monkeypatch.setattr(qvi, "_solve_obstacle", first_capped)
+        sol = qvi.solve(problem)
+        assert sol.policy_iterations[0] == 2 and sol.settled is False
+        assert np.array_equal(sol.V, reference.V) and np.array_equal(sol.jump, reference.jump)
+        assert sol.converged is True and reference.converged is True
+
 
 class TestProblemValidation:
     def test_grid_span_enforced(self):

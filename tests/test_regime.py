@@ -87,7 +87,7 @@ class TestRollingEstimator:
     def test_matches_pure_estimate(self):
         rng = np.random.default_rng(42)
         path = synthpath.simulate_ou(OuParams(0.02, 100.0, 0.3), 103.0, 5000, 1.0, rng)
-        th, mu, sg, va = regime.rolling_estimates(path, 1.0, 1800)
+        th, mu, sg, va = regime.rolling_estimates(path, 1800)
         pure = regime.estimate(path[-1800:])
         assert va[-1] and pure.valid
         assert th[-1] == pytest.approx(pure.theta, rel=1e-9)
@@ -113,7 +113,7 @@ class TestRollingEstimator:
     @example(level=10.0, drift=-1e-4, noise=1e-5, window=3, n=1500, seed=1)
     def test_matches_direct_fit_on_every_window(self, level, drift, noise, window, n, seed):
         p = drifting_path(level, drift, noise, n, seed)
-        th, mu, sg, va = regime.rolling_estimates(p, 1.0, window)
+        th, mu, sg, va = regime.rolling_estimates(p, window)
         for i in range(min(2, n)):
             assert (th[i], mu[i], sg[i], va[i]) == (0.0, p[i], 0.0, False)
         scale = float(np.std(np.diff(p)))
@@ -126,13 +126,13 @@ class TestRollingEstimator:
                 assert abs(sg[i] - direct.sigma) <= 1e-6 * scale, i
 
     def test_warmup_is_invalid(self):
-        th, mu, sg, va = regime.rolling_estimates(np.array([100.0, 101.0, 99.5, 100.5]), 1.0, 10)
+        th, mu, sg, va = regime.rolling_estimates(np.array([100.0, 101.0, 99.5, 100.5]), 10)
         assert not va[0] and not va[1]
         assert mu[1] == 101.0
 
     def test_window_minimum(self):
         with pytest.raises(WindowTooShort):
-            regime.rolling_estimates(np.linspace(100.0, 101.0, 50), 1.0, 2)
+            regime.rolling_estimates(np.linspace(100.0, 101.0, 50), 2)
 
 
 class TestHalfLife:
