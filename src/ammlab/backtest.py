@@ -217,7 +217,7 @@ def heatmap(
     net: neural.Mlp,
     theta_grid,
     d_edge_grid,
-    width: float = 0.002,
+    width: float = PoolConfig.width,
     sigma_norm: float = 0.0,
     recent_vol: float = 0.0,
 ) -> HeatmapGrid:

@@ -50,13 +50,12 @@ def _build_parser() -> _Parser:
     flags = {
         "--strategy": dict(choices=config_mod.STRATEGY_NAMES, help="strategy name override"),
         "--checkpoint": dict(help="policy checkpoint path"),
-        "--profile": dict(choices=list(config_mod.PROFILES), help="training profile"),
     }
     for name, help_text, own_flags in [
         ("ingest", "aggregate a trade CSV into 1 Hz bars", []),
         ("synth", "generate a synthetic bar series from the configured schedule", []),
         ("estimate", "rolling regime estimates for every bar", []),
-        ("train", "train the rebalancing agent and write a checkpoint", ["--profile"]),
+        ("train", "train the rebalancing agent and write a checkpoint", []),
         ("backtest", "run one strategy over the configured data", ["--strategy", "--checkpoint"]),
         ("sweep-gas", "backtest strategies across gas-cost levels", ["--checkpoint"]),
         ("qvi", "solve the impulse-control oracle and export value/boundary", []),
@@ -227,20 +226,23 @@ def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
 
 def cmd_qvi(args, doc, seed, cfg_hash, out_dir):
     q = doc.get("qvi", {})
-    ou = synthpath.OuParams(q.get("theta", 0.05), q.get("mu", 100.0), q.get("sigma", 0.5))
-    pool = config_mod.pool_config(doc)
-    grid = {key: q[key] for key in ("n_s", "n_c", "span_sigmas", "rho", "ref_volume", "cost") if key in q}
+
+    def keys(*names):
+        """The named qvi keys the config sets; the rest keep their owner's defaults."""
+        return {key: q[key] for key in names if key in q}
+
+    ou = dataclasses.replace(qvi.DEFAULT_OU, **keys("theta", "mu", "sigma"))
+    grid = keys("n_s", "n_c", "span_sigmas", "rho", "ref_volume", "cost")
     try:
-        problem = qvi.QviProblem.default(ou, pool, **grid)
+        problem = qvi.QviProblem.default(ou, config_mod.pool_config(doc), **grid)
     except ValueError as exc:
         raise config_mod.ConfigError(f"qvi: {exc}") from None
-    tol = q.get("tol", 1e-6)
-    sol = qvi.solve(problem, tol=tol, max_iters=q.get("max_iters", 20_000))
+    sol = qvi.solve(problem, **keys("tol", "max_iters"))
     if not sol.converged:
         inner = "no" if sol.settled else "an"
         print(
             f"warning: qvi did not converge in {sol.iterations} outer iterations "
-            f"(last sup change {sol.sup_change:.3g}, tol {tol:g}); "
+            f"(last sup change {sol.sup_change:.3g}, tol {sol.tol:g}); "
             f"{inner} inner active-set solve was cut short",
             file=sys.stderr,
         )
@@ -275,9 +277,9 @@ def cmd_heatmap(args, doc, seed, cfg_hash, out_dir):
     net, _, _ = neural.load_checkpoint(args.checkpoint)
     series = _load_series(doc, seed)
     features = _features(series, doc)
-    h = doc.get("heatmap", {})
-    theta_axis = np.linspace(*config_mod.heatmap_theta_range(doc), h.get("theta_points", 41))
-    d_edge_axis = np.linspace(-1.0, 1.0, h.get("d_edge_points", 41))
+    h = config_mod.heatmap_settings(doc)
+    theta_axis = np.linspace(h["theta_min"], h["theta_max"], h["theta_points"])
+    d_edge_axis = np.linspace(-1.0, 1.0, h["d_edge_points"])
     pool = config_mod.pool_config(doc)
     columns, ok = features.bar_columns, features.valid
     grid = backtest_mod.heatmap(
@@ -315,8 +317,6 @@ def main(argv=None) -> int:
 
     try:
         doc = config_mod.load(args.config)
-        if args.command == "train":
-            doc = config_mod.apply_profile(doc, args.profile)
         seed = args.seed if args.seed is not None else doc.get("seed", 0)
     except (config_mod.ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -325,6 +325,10 @@ def main(argv=None) -> int:
     made_out = not os.path.exists(args.out)
     try:
         os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+        return 1
+    try:
         cfg_hash = config_mod.config_hash(doc)
         outputs = _COMMANDS[args.command](args, doc, seed, cfg_hash, args.out)
         outputs.append(_write_manifest(args.out, args.command, cfg_hash, seed, outputs, started))

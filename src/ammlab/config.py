@@ -192,7 +192,8 @@ class ConfigError(ValueError):
     pass
 
 
-HEATMAP_THETA_RANGE = (0.0, 0.1)  # (theta_min, theta_max) when the config omits them
+# The heatmap section's values when the config omits them.
+HEATMAP_DEFAULTS = {"theta_min": 0.0, "theta_max": 0.1, "theta_points": 41, "d_edge_points": 41}
 
 
 # The keywords SCHEMA may use, each read as in JSON Schema 2020-12, with
@@ -298,9 +299,9 @@ def validate(doc: dict) -> dict:
     twice = sorted({name for name in names if names.count(name) > 1})
     if twice:
         raise ConfigError(f"sweep.strategies names {', '.join(twice)} more than once")
-    theta_min, theta_max = heatmap_theta_range(doc)
-    if theta_min > theta_max:
-        raise ConfigError(f"heatmap.theta_min {theta_min} exceeds heatmap.theta_max {theta_max}")
+    h = heatmap_settings(doc)
+    if h["theta_min"] > h["theta_max"]:
+        raise ConfigError(f"heatmap.theta_min {h['theta_min']} exceeds heatmap.theta_max {h['theta_max']}")
     return doc
 
 
@@ -372,25 +373,8 @@ def train_config(doc: dict, seed: int) -> TrainConfig:
     return TrainConfig(**doc.get("train", {}), seed=seed)
 
 
-def heatmap_theta_range(doc: dict) -> tuple[float, float]:
-    h = doc.get("heatmap", {})
-    return h.get("theta_min", HEATMAP_THETA_RANGE[0]), h.get("theta_max", HEATMAP_THETA_RANGE[1])
-
-
-PROFILES = {
-    "smoke": {"episodes": 20, "episode_length": 3600},
-    "full": {"episodes": 300, "episode_length": 36_000},
-}
-
-
-def apply_profile(doc: dict, profile: str | None) -> dict:
-    if profile is None:
-        return doc
-    if profile not in PROFILES:
-        raise ConfigError(f"unknown profile {profile!r}")
-    doc = dict(doc)
-    doc["train"] = {**doc.get("train", {}), **PROFILES[profile]}
-    return doc
+def heatmap_settings(doc: dict) -> dict:
+    return {**HEATMAP_DEFAULTS, **doc.get("heatmap", {})}
 
 
 def schedule(doc: dict) -> RegimeSchedule:
@@ -403,5 +387,5 @@ def schedule(doc: dict) -> RegimeSchedule:
             for seg in sy["segments"]
         ),
         initial_price=sy["initial_price"],
-        volume_model=VolumeModel(**{"base_notional": 15_000.0, **sy.get("volume", {})}),
+        volume_model=VolumeModel(**sy.get("volume", {})),
     )

@@ -204,12 +204,9 @@ class LpEnv:
         self._steps = 0
         self._terminal = True
 
-    def max_start(self) -> int:
-        return len(self.series) - 1 - self.episode_length
-
     def reset(self, start_index: int | None = None) -> np.ndarray:
         if start_index is None:
-            hi = self.max_start()
+            hi = len(self.series) - 1 - self.episode_length
             if hi < 0:
                 raise DomainError("series shorter than one episode")
             start_index = int(self.rng.integers(0, hi + 1))

@@ -44,6 +44,7 @@ from .ammcore import PoolConfig
 from .synthpath import OuParams
 
 DEFAULT_RHO = -math.log(0.99)  # one-second discounting matched to gamma=0.99
+DEFAULT_OU = OuParams(theta=0.05, mu=100.0, sigma=0.5)  # solved where a config's qvi section names no process
 # The S-grid spans at least mu +/- MIN_SPAN_SIGMAS * sigma/sqrt(2 theta), the
 # stationary OU spread, so the reflecting edges sit far from the band.
 MIN_SPAN_SIGMAS = 5.0
@@ -125,6 +126,7 @@ class QviSolution:
     V: np.ndarray  # (n_s, n_c)
     jump: np.ndarray  # bool (n_s, n_c): obstacle binding within tolerance
     converged: bool
+    tol: float  # the sup-norm tolerance of the convergence test and the jump labels
     settled: bool  # every inner active-set solve settled within its pass cap
     iterations: int
     sup_change: float
@@ -354,6 +356,7 @@ def solve(problem: QviProblem, tol: float = 1e-6, max_iters: int = 20_000) -> Qv
         V=V,
         jump=jump,
         converged=converged,
+        tol=tol,
         settled=all_settled,
         iterations=iterations,
         sup_change=sup_change,

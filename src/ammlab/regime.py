@@ -37,9 +37,6 @@ class RegimeEstimate:
     sigma: float
     valid: bool
 
-    def half_life(self) -> float:
-        return half_life(self.theta)
-
 
 def half_life(theta: float) -> float:
     """Deviation half-life ln(2)/theta; inf when theta is zero."""

@@ -41,7 +41,7 @@ class OuParams:
 
 @dataclass(frozen=True)
 class VolumeModel:
-    base_notional: float
+    base_notional: float = 15_000.0
     volatility_coupling: float = 1.0
 
     def __post_init__(self):

@@ -56,7 +56,7 @@ def base_config(**overrides):
 FLAG_READERS = {
     ("--strategy", "bedivere"): ("backtest",),
     ("--checkpoint", "policy.json"): ("backtest", "sweep-gas", "heatmap"),
-    ("--profile", "smoke"): ("train",),
+    ("--profile", "smoke"): (),  # deleted: the config's train section sets the run's size
 }
 
 
@@ -116,6 +116,15 @@ class TestValidation:
         assert cli.main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 1
         assert not out.exists()
         assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_out_that_cannot_be_made_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config())
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        for out in (taken, taken / "out"):
+            assert cli.main(["synth", "--config", cfg, "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith(f"error: --out {out}: ")
+        assert taken.read_text() == "a file, not a directory\n"
 
     def test_unknown_strategy_flag_exits_one(self, tmp_path):
         cfg = write_config(tmp_path, base_config())
@@ -474,6 +483,16 @@ class TestPipeline:
             "qvi_solution.csv", "qvi_boundary.csv", "qvi_meta.json", "manifest.json"
         }
 
+    def test_qvi_uses_solver_defaults(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(qvi.solve, "__defaults__", (1e-3, 1))
+        q = {"theta": 0.05, "mu": 100.0, "sigma": 0.5, "n_s": 80, "n_c": 10}
+        cfg = write_config(tmp_path, base_config(qvi=q))
+        out = tmp_path / "qvi"
+        assert cli.main(["qvi", "--config", cfg, "--out", str(out)]) == 0
+        meta = json.loads((out / "qvi_meta.json").read_text())
+        assert (meta["iterations"], meta["converged"]) == (1, False)
+        assert "tol 0.001)" in capsys.readouterr().err
+
     def test_train_then_heatmap(self, tmp_path):
         doc = base_config(
             train={
@@ -522,6 +541,25 @@ class TestPipeline:
         vol_ref = min(float(np.median(features.recent_vol)), envsim.RECENT_VOL_CLIP)
         assert passed["sigma_norm"].hex() == sigma_ref.hex()
         assert passed["recent_vol"].hex() == vol_ref.hex()
+
+    def test_heatmap_default_grid(self, tmp_path):
+        ckpt = tmp_path / "policy.json"
+        neural.save_checkpoint(ckpt, neural.Mlp(Q_NET_DIMS, seed=0))
+        out = tmp_path / "hm"
+        cfg = write_config(tmp_path, base_config())
+        assert cli.main(["heatmap", "--config", cfg, "--out", str(out), "--checkpoint", str(ckpt)]) == 0
+        theta, d_edge = csv_column(out / "heatmap.csv", "theta"), csv_column(out / "heatmap.csv", "d_edge")
+        np.testing.assert_array_equal(theta, np.repeat(np.linspace(0.0, 0.1, 41), 41))
+        np.testing.assert_array_equal(d_edge, np.tile(np.linspace(-1.0, 1.0, 41), 41))
+
+    def test_synth_default_volume(self, tmp_path):
+        doc = base_config()
+        explicit = write_config(tmp_path, doc, "explicit.json")
+        del doc["data"]["synth"]["volume"]
+        default = write_config(tmp_path, doc, "default.json")
+        for name, cfg in (("explicit", explicit), ("default", default)):
+            assert cli.main(["synth", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / "default" / "bars.csv").read_bytes() == (tmp_path / "explicit" / "bars.csv").read_bytes()
 
 
 BAD_STRATEGY_SPECS = [
@@ -588,17 +626,15 @@ class TestStrategySpecs:
 
 class TestTrainingBounds:
     @pytest.mark.parametrize(
-        "splits, profile, episode_length, bars",
-        [(None, "full", 36_000, 800), (None, None, 800, 800), ([0.5, 0.25, 0.25], None, 400, 400)],
+        "splits, episode_length, bars",
+        [(None, 800, 800), ([0.5, 0.25, 0.25], 400, 400)],
     )
-    def test_segment_shorter_than_episode_exits_one(
-        self, tmp_path, capsys, splits, profile, episode_length, bars
-    ):
+    def test_segment_shorter_than_episode_exits_one(self, tmp_path, capsys, splits, episode_length, bars):
         doc = base_config(train={"episode_length": episode_length})
         if splits:
             doc["data"]["splits"] = splits
         argv = ["train", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "train")]
-        assert cli.main(argv + (["--profile", profile] if profile else [])) == 1
+        assert cli.main(argv) == 1
         assert not (tmp_path / "train").exists()
         err = capsys.readouterr().err
         assert f"train.episode_length {episode_length}" in err and f"{bars}-bar training segment" in err
@@ -935,14 +971,6 @@ class TestDeterminism:
         assert threads["OMP_NUM_THREADS"] == "3"
         assert threads["MKL_NUM_THREADS"] == "unset"
         assert threads["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS", "unset")
-
-    def test_profile_overrides_train_section(self, tmp_path):
-        doc = config_mod.apply_profile(base_config(), "smoke")
-        assert doc["train"]["episodes"] == 20
-        assert doc["train"]["episode_length"] == 3600
-        full = config_mod.apply_profile(base_config(), "full")
-        assert full["train"]["episodes"] == 300
-        assert full["train"]["episode_length"] == 36_000
 
 
 class TestSchema:

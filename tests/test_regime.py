@@ -147,4 +147,4 @@ class TestHalfLife:
 
     def test_estimate_method(self):
         est = regime.estimate(noiseless_path(0.01))
-        assert est.half_life() == pytest.approx(math.log(2) / est.theta)
+        assert regime.half_life(est.theta) == pytest.approx(math.log(2) / est.theta)
