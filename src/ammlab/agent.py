@@ -150,14 +150,14 @@ class DdqnAgent:
             batch = self.buffer.sample(cfg.batch_size, self.rng, out=self.batch)
         states, actions, _, _, _ = batch
         y = ddqn_target(batch, self.online, self.target, cfg.gamma)
-        q, cache = neural.forward_cached(self.online, states, self.work)
+        q = neural.forward(self.online, states, self.work)
         rows = self.rows
         err = q[rows, actions] - y
         loss = float(np.mean(err**2))
         grad_out = self.grad_out
         grad_out.fill(0.0)
         grad_out[rows, actions] = 2.0 * err / len(actions)
-        grads = neural.backward(self.online, cache, grad_out)
+        grads = neural.backward(self.online, self.work, grad_out)
         neural.adam_update(self.online, grads, self.opt)
         self.updates += 1
         if self.updates % cfg.target_sync == 0:

@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import platform
 import resource
@@ -70,7 +69,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_series(doc, seed):
+def _segment(doc, seed, command):
+    """The bars `command` reads and their FeatureTrack.
+
+    With data.splits, train reads the train segment, backtest and sweep-gas
+    the backtest.segment (test by default); every other command, and every
+    command without splits, reads the whole series.
+    """
     data = doc.get("data", {})
     if "bars_csv" in data:
         series = marketdata.read_bars_csv(data["bars_csv"])
@@ -78,31 +83,16 @@ def _load_series(doc, seed):
         series = synthpath.simulate_schedule(config_mod.schedule(doc), seed)
     else:
         raise config_mod.ConfigError("config needs data.bars_csv or data.synth")
-    return series
-
-
-def _segment(doc, seed, name):
-    """Segment `name` of the configured series under data.splits; the whole
-    series without splits or for "all"."""
-    series = _load_series(doc, seed)
-    splits = doc.get("data", {}).get("splits")
-    if splits is None or name == "all":
-        return series
-    train, val, test = marketdata.split(series, tuple(splits))
-    segment = {"train": train, "val": val, "test": test}[name]
-    if len(segment) == 0:
-        raise config_mod.ConfigError(f"segment {name!r} is empty: data.splits {splits} of a {len(series)}-bar series")
-    return segment
-
-
-def _features(series, doc):
-    return envsim.FeatureTrack(series, config_mod.estimate_window(doc))
-
-
-def _backtest_segment(doc, seed):
-    """The backtest.segment of the configured series and its features."""
-    series = _segment(doc, seed, doc.get("backtest", {}).get("segment", "test"))
-    return series, _features(series, doc)
+    backtested = doc.get("backtest", {}).get("segment", "test")
+    name = {"train": "train", "backtest": backtested, "sweep-gas": backtested}.get(command, "all")
+    splits = data.get("splits")
+    if splits is not None and name != "all":
+        train, val, test = marketdata.split(series, tuple(splits))
+        segment = {"train": train, "val": val, "test": test}[name]
+        if len(segment) == 0:
+            raise config_mod.ConfigError(f"segment {name!r} is empty: data.splits {splits} of a {len(series)}-bar series")
+        series = segment
+    return series, envsim.FeatureTrack(series, config_mod.estimate_window(doc))
 
 
 def _write_manifest(out_dir, command, cfg_hash, seed, outputs, started):
@@ -156,19 +146,17 @@ def cmd_synth(args, doc, seed, cfg_hash, out_dir):
 
 
 def cmd_estimate(args, doc, seed, cfg_hash, out_dir):
-    series = _load_series(doc, seed)
-    theta, mu, sigma, valid = regime.rolling_estimates(series.close, config_mod.estimate_window(doc))
-    # rolling_estimates clips theta to >= 0, so only theta == 0 and invalid entries are inf
-    with np.errstate(divide="ignore", over="ignore"):
-        half_life = np.where(valid & (theta > 0), math.log(2.0) / theta, math.inf)
-    columns = (series.t, theta, mu, sigma, half_life, valid.astype(int))
+    series, features = _segment(doc, seed, "estimate")
+    # the observation's theta, which reads 0 where the estimate is invalid
+    half_life = regime.half_life(features.bar_columns[:, 0])
+    columns = (series.t, features.theta, features.mu, features.sigma, half_life, features.valid.astype(int))
     out = os.path.join(out_dir, "regime.csv")
     artifacts.write_columns(out, ["t", "theta", "mu", "sigma", "half_life", "valid"], columns)
     return [out]
 
 
 def cmd_train(args, doc, seed, cfg_hash, out_dir):
-    series = _segment(doc, seed, "train")
+    series, features = _segment(doc, seed, "train")
     tc = config_mod.train_config(doc, seed)
     if len(series) <= tc.episode_length:
         raise config_mod.ConfigError(
@@ -179,7 +167,7 @@ def cmd_train(args, doc, seed, cfg_hash, out_dir):
         series,
         config_mod.pool_config(doc),
         config_mod.reward_params(doc),
-        features=_features(series, doc),
+        features=features,
     )
     agent, log_rows = agent_mod.train(env, tc)
     ckpt = os.path.join(out_dir, "checkpoint.json")
@@ -198,7 +186,7 @@ def cmd_backtest(args, doc, seed, cfg_hash, out_dir):
     if args.strategy not in (None, spec["name"]):
         spec = {"name": args.strategy}  # the config's params belong to its own strategy
     strategy = _strategy(spec, args.checkpoint)
-    series, features = _backtest_segment(doc, seed)
+    series, features = _segment(doc, seed, "backtest")
     report, trace = backtest_mod.run(strategy, series, config_mod.pool_config(doc), features=features)
     trace_path = os.path.join(out_dir, "trace.csv")
     envsim.write_trace_csv(trace_path, trace)
@@ -213,7 +201,7 @@ def cmd_sweep_gas(args, doc, seed, cfg_hash, out_dir):
     specs = sweep.get("strategies") or [doc.get("strategy", _DEFAULT_STRATEGY)]
     levels = {"gas_levels": sweep["gas_levels"]} if "gas_levels" in sweep else {}
     built = [_strategy(s, args.checkpoint) for s in specs]
-    series, features = _backtest_segment(doc, seed)
+    series, features = _segment(doc, seed, "sweep-gas")
     pool = config_mod.pool_config(doc)
     rows, break_evens = backtest_mod.gas_sweep(built, series, cfg=pool, features=features, **levels)
 
@@ -275,8 +263,7 @@ def cmd_heatmap(args, doc, seed, cfg_hash, out_dir):
     if not args.checkpoint:
         raise config_mod.ConfigError("heatmap needs --checkpoint")
     net, _, _ = neural.load_checkpoint(args.checkpoint)
-    series = _load_series(doc, seed)
-    features = _features(series, doc)
+    _, features = _segment(doc, seed, "heatmap")
     h = config_mod.heatmap_settings(doc)
     theta_axis = np.linspace(h["theta_min"], h["theta_max"], h["theta_points"])
     d_edge_axis = np.linspace(-1.0, 1.0, h["d_edge_points"])

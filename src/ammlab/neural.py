@@ -111,14 +111,6 @@ def forward(net: Mlp, x, work: Workspace | None = None) -> np.ndarray:
     return h[0] if squeeze else h
 
 
-def forward_cached(net: Mlp, x, work: Workspace | None = None):
-    """(output, workspace): a forward whose activations `backward` reads."""
-    if work is None:
-        h, _ = _as_batch(x, net.layer_dims[0])
-        work = Workspace(net.layer_dims, len(h))
-    return forward(net, x, work), work
-
-
 def backward(net: Mlp, work: Workspace, grad_out):
     """Gradients of sum(output * grad_out) w.r.t. every weight and bias.
 

@@ -38,13 +38,14 @@ class RegimeEstimate:
     valid: bool
 
 
-def half_life(theta: float) -> float:
-    """Deviation half-life ln(2)/theta; inf when theta is zero."""
-    if theta < 0:
-        raise DomainError("theta must be >= 0")
-    if theta == 0.0:
-        return math.inf
-    return math.log(2.0) / theta
+def half_life(theta):
+    """Deviation half-life ln(2)/theta, entry by entry for an array; inf where theta is zero."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if not (theta >= 0.0).all():
+        raise DomainError("theta must be >= 0 and not NaN")
+    with np.errstate(divide="ignore", over="ignore"):
+        out = math.log(2.0) / np.abs(theta)  # -0.0 is zero too
+    return float(out) if out.ndim == 0 else out
 
 
 def _fallback(current_price: float) -> RegimeEstimate:

@@ -187,8 +187,8 @@ class PolicyStrategy(Strategy):
         self._bound_gain, self._bound_offset = _margin_bound(net)
 
     @classmethod
-    def from_checkpoint(cls, path) -> "PolicyStrategy":
-        net, _, _ = neural.load_checkpoint(path)
+    def from_checkpoint(cls, checkpoint) -> "PolicyStrategy":
+        net, _, _ = neural.load_checkpoint(checkpoint)
         return cls(net)
 
     def decide(self, i, price, pos, features):
@@ -219,18 +219,12 @@ class PolicyStrategy(Strategy):
         return None
 
 
-def _policy(checkpoint: str | None = None) -> PolicyStrategy:
-    if checkpoint is None:
-        raise ValueError("rammstein strategy needs a 'checkpoint' param")
-    return PolicyStrategy.from_checkpoint(checkpoint)
-
-
 _BUILDERS = {
     "merlin": Merlin,
     "bedivere": Bedivere,
     "lancelot": Lancelot,
     "galahad": GalahadOu,
-    "rammstein": _policy,
+    "rammstein": PolicyStrategy.from_checkpoint,
 }
 
 

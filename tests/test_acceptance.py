@@ -69,6 +69,19 @@ def run_episodes(env, decide, starts):
     return rebalances, active / total, fees, deviations
 
 
+def roi_curve(fees, n_rebal, gas_levels):
+    """(gas, net ROI) of one evaluation at each gas level.
+
+    Strategies never observe gas, so every level follows exactly from one
+    evaluation: pnl(G) = fees - swap_fee*N - G*(N + episode inits).
+    """
+    swap_fee = POOL.fee_tier * 0.5 * POOL.capital
+    return [
+        (g, (fees - swap_fee * n_rebal - g * (n_rebal + EPISODES)) / POOL.capital)
+        for g in gas_levels
+    ]
+
+
 def lancelot_decide(state, env):
     return 0 if state[-1] else 1
 
@@ -185,7 +198,8 @@ def test_criterion_3_gradient_check():
         net = neural.Mlp(agent_mod.Q_NET_DIMS, seed=seed)
         x = rng.normal(size=(4, 8))
         grad_out = rng.normal(size=(4, 2))
-        _, cache = neural.forward_cached(net, x)
+        cache = neural.Workspace(net.layer_dims, len(x))
+        neural.forward(net, x, cache)
         neural.backward(net, cache, grad_out)
 
         def loss():
@@ -348,32 +362,31 @@ def test_criterion_7_regime_aware_laziness(mixed_setup):
     med_red = float(np.median(reductions))
     med_act = float(np.median(actives))
     ok = med_red >= 0.30 and med_act >= 0.70
+
+    def outcome(stats):
+        n, active, fees, _ = stats
+        [(_, roi)] = roi_curve(fees, n, [POOL.gas_cost])
+        return f"(N={n}, active={active:.1%}, fees={fees:.2f}, net ROI={roi:.2%})"
+
+    per_seed = ", ".join(outcome(stats) for _, stats in mixed_setup["agents"])
     _report(
         7,
         ok,
         f"median rebalance reduction={med_red:.1%} (>=30%), median active={med_act:.1%} (>=70%), "
-        f"lancelot N={lancelot_n}, agent N per seed={[s[1][0] for s in mixed_setup['agents']]}",
+        f"lancelot N={lancelot_n}, agent N per seed={[s[1][0] for s in mixed_setup['agents']]}; "
+        f"at gas {POOL.gas_cost:g}: lancelot {outcome(mixed_setup['lancelot'])}, agent per seed [{per_seed}]",
     )
     assert med_red >= 0.30
     assert med_act >= 0.70
 
 
 def test_criterion_8_gas_sweep_ordering(mixed_setup):
-    # strategies never observe gas, so the per-level tables follow exactly
-    # from one evaluation: pnl(G) = fees - swap_fee*N - G*(N + episode inits)
-    def roi_curve(fees, n_rebal):
-        swap_fee = POOL.fee_tier * 0.5 * POOL.capital
-        return [
-            (g, (fees - swap_fee * n_rebal - g * (n_rebal + EPISODES)) / POOL.capital)
-            for g in GAS_LEVELS
-        ]
-
     lancelot_n, _, lancelot_fees, _ = mixed_setup["lancelot"]
     by_count = sorted(mixed_setup["agents"], key=lambda item: item[1][0])
     agent_n, _, agent_fees, _ = by_count[len(by_count) // 2][1]  # median-N seed
 
-    lancelot_curve = roi_curve(lancelot_fees, lancelot_n)
-    agent_curve = roi_curve(agent_fees, agent_n)
+    lancelot_curve = roi_curve(lancelot_fees, lancelot_n, GAS_LEVELS)
+    agent_curve = roi_curve(agent_fees, agent_n, GAS_LEVELS)
     lancelot_be = bt._break_even(lancelot_curve)
     agent_be = bt._break_even(agent_curve)
 

@@ -47,7 +47,7 @@ class TestForward:
         with pytest.raises(ShapeError):
             neural.forward(net, np.ones(5))
         with pytest.raises(ShapeError):
-            neural.forward_cached(net, 1.0)
+            neural.forward(net, 1.0, neural.Workspace(net.layer_dims, 1))
 
 
 def finite_difference_grads(net, x, grad_out, h=1e-5):
@@ -75,7 +75,8 @@ def finite_difference_grads(net, x, grad_out, h=1e-5):
 class TestBackward:
     def test_zero_upstream_gradient(self):
         net = neural.Mlp([3, 5, 2], seed=2)
-        _, cache = neural.forward_cached(net, np.ones(3))
+        cache = neural.Workspace(net.layer_dims, 1)
+        neural.forward(net, np.ones(3), cache)
         neural.backward(net, cache, np.zeros(2))
         assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in zip(cache.grad_w, cache.grad_b))
 
@@ -83,7 +84,8 @@ class TestBackward:
         net = neural.Mlp([3, 2], seed=0)
         x = np.array([1.0, -2.0, 0.5])
         g = np.array([0.7, -0.3])
-        _, cache = neural.forward_cached(net, x)
+        cache = neural.Workspace(net.layer_dims, 1)
+        neural.forward(net, x, cache)
         neural.backward(net, cache, g)
         (gw,), (gb,) = cache.grad_w, cache.grad_b
         assert gw == pytest.approx(np.outer(x, g))
@@ -94,7 +96,8 @@ class TestBackward:
         net = neural.Mlp([8, 12, 6, 2], seed=77)
         x = rng.normal(size=(4, 8))
         grad_out = rng.normal(size=(4, 2))
-        _, cache = neural.forward_cached(net, x)
+        cache = neural.Workspace(net.layer_dims, len(x))
+        neural.forward(net, x, cache)
         neural.backward(net, cache, grad_out)
         analytic = zip(cache.grad_w, cache.grad_b)
         numeric = finite_difference_grads(net, x, grad_out)
@@ -108,7 +111,8 @@ class TestBackward:
         net.weights[0][:] = 1.0
         net.biases[0][:] = -5.0  # pre-activation negative for small inputs
         net.weights[1][:] = 1.0
-        _, cache = neural.forward_cached(net, np.array([1.0]))
+        cache = neural.Workspace(net.layer_dims, 1)
+        neural.forward(net, np.array([1.0]), cache)
         neural.backward(net, cache, np.array([1.0]))
         assert cache.grad_w[0] == pytest.approx(np.zeros((1, 1)))
 
@@ -196,7 +200,7 @@ class TestFlatParameters:
         net = neural.Mlp([3, 4, 2], seed=0)
         work = neural.Workspace(net.layer_dims, 5)
         with pytest.raises(ShapeError):
-            neural.forward_cached(net, np.ones((4, 3)), work)
-        y, cache = neural.forward_cached(net, np.ones((5, 3)), work)
-        assert cache is work and np.shares_memory(y, work.acts[-1])
+            neural.forward(net, np.ones((4, 3)), work)
+        y = neural.forward(net, np.ones((5, 3)), work)
+        assert np.shares_memory(y, work.acts[-1])
         assert np.array_equal(y, neural.forward(net, np.ones((5, 3))))

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from ammlab import regime, synthpath
-from ammlab.errors import WindowTooShort
+from ammlab.errors import DomainError, WindowTooShort
 from ammlab.synthpath import OuParams
 
 
@@ -148,3 +148,22 @@ class TestHalfLife:
     def test_estimate_method(self):
         est = regime.estimate(noiseless_path(0.01))
         assert regime.half_life(est.theta) == pytest.approx(math.log(2) / est.theta)
+
+    @given(hst.lists(hst.floats(min_value=0.0), max_size=20))
+    @example([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0])
+    def test_array_matches_scalar(self, thetas):
+        expected = np.array([regime.half_life(theta) for theta in thetas], dtype=np.float64)
+        got = regime.half_life(np.array(thetas, dtype=np.float64))
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert (got >= 0.0).all()
+
+    @given(
+        hst.lists(hst.floats(min_value=0.0), max_size=10),
+        hst.floats(max_value=-5e-324) | hst.just(math.nan),
+        hst.integers(0, 10),
+    )
+    def test_negative_or_nan_rejected(self, good, bad, at):
+        with pytest.raises(DomainError):
+            regime.half_life(bad)
+        with pytest.raises(DomainError):
+            regime.half_life(np.array(good[:at] + [bad] + good[at:]))

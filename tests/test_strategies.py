@@ -261,5 +261,5 @@ class TestRegistry:
             st.make_strategy("gawain")
 
     def test_rammstein_needs_checkpoint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="checkpoint"):
             st.make_strategy("rammstein")
